@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet test test-short test-race bench bench-obs bench-fanout bench-quorum bench-shard bench-server bench-recovery experiments fuzz examples clean
+.PHONY: all check build vet test test-short test-race test-soak-netram bench bench-obs bench-fanout bench-quorum bench-shard bench-server bench-recovery experiments fuzz examples clean
 
 all: build vet test
 
@@ -22,6 +22,13 @@ test:
 # gate, not an optional extra.
 test-race:
 	$(GO) test -race ./...
+
+# The fan-out's definition of green: the whole netram suite, race
+# detector on, fifty times over on two cores — the interleavings of ack
+# order, mirror death, catch-up overflow and rebuild swap a fast host
+# never schedules.
+test-soak-netram:
+	GOMAXPROCS=2 $(GO) test -race -count=50 ./internal/netram/
 
 # Skips the soak test and the `go run` example harness.
 test-short:

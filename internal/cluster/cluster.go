@@ -60,8 +60,9 @@ type MirrorStatus struct {
 	Slot int    `json:"slot"`
 	Name string `json:"name"`
 	Down bool   `json:"down"`
-	// CatchUpPending is how many quorum writes the slot is behind (0 on
-	// all-ack configurations).
+	// CatchUpPending is the depth of the slot's sender queue: how many
+	// quorum writes it is behind (on all-ack configurations, at most the
+	// pushes in flight).
 	CatchUpPending int `json:"catchup_pending"`
 	// State is the guardian's view ("healthy", "suspect", ...); empty
 	// when no guardian watches this shard.

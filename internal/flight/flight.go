@@ -54,7 +54,8 @@ const (
 	// (Healthy→Suspect, Suspect→Dead, Dead→Rebuilding, ...).
 	GuardianTransition
 	// CatchUpOverflow: a quorum-commit straggler's catch-up queue
-	// overflowed and the mirror fell back to a full rebuild.
+	// overflowed and the mirror fell back to a full rebuild. The detail
+	// names the mirror and the queue depth behind its in-flight exchange.
 	CatchUpOverflow
 	// InDoubtRepair: a decided cross-shard commit stuck in doubt was
 	// re-driven to completion.

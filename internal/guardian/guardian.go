@@ -105,7 +105,8 @@ type Config struct {
 	// heartbeat even when it still answers probes: a reachable replica
 	// that cannot keep up is as much a durability risk as a silent one,
 	// and the miss path walks it through Suspect to the rebuild that
-	// resyncs it. Zero disables the check (all-ack clients have no lag).
+	// resyncs it. Zero disables the check (leave it off for all-ack
+	// clients: their queue depth is in-flight pushes, not lag).
 	LagLimit int
 }
 

@@ -103,14 +103,13 @@ type Metrics struct {
 	// slow replica is visible individually instead of hiding in the
 	// aggregate PushLatency.
 	MirrorPush []obs.Histogram
-	// Fanouts counts pushes dispatched through the parallel fan-out
-	// (two or more eligible mirrors, parallel path enabled).
+	// Fanouts counts pushes whose jobs ran on the sender workers (two or
+	// more eligible mirrors, not inline).
 	Fanouts obs.Counter
-	// AckDepth is the number of mirror acks a quorum-mode push had
-	// collected when it returned to the caller (all-ack pushes do not
-	// observe it).
+	// AckDepth is the number of mirror acks a push had collected when it
+	// returned to the caller.
 	AckDepth obs.Histogram
-	// CatchUpOverflows counts quorum writes dropped because a mirror's
+	// CatchUpOverflows counts writes dropped because a lagging mirror's
 	// bounded catch-up queue was full; each drop degrades the mirror and
 	// hands it to the guardian's revive/rebuild path.
 	CatchUpOverflows obs.Counter
@@ -150,14 +149,16 @@ type Client struct {
 	// mirror can be reintegrated with full contents.
 	regions []*Region
 
-	// stateMu guards the health flags, which the data path updates
-	// while holding only the topology read lock. Traffic counters live
-	// in metrics and are lock-free.
+	// stateMu guards changes to the health flags, which the data path
+	// makes while holding only the topology read lock. Traffic counters
+	// live in metrics and are lock-free.
 	stateMu sync.Mutex
 	// down[i] marks mirror i as failed: the paper's design keeps the
 	// database available through the surviving mirrors, so pushes skip
-	// dead nodes instead of stalling the application.
-	down []bool
+	// dead nodes instead of stalling the application. Written under
+	// stateMu (one degradation per outage); read lock-free, because
+	// every job of every push reads it.
+	down []atomic.Bool
 	// rebuildSlot is the index of the mirror an online rebuild is
 	// replacing (-1 when idle), guarded by stateMu. One rebuild runs at
 	// a time; Revive and ReplaceMirror refuse while it is in flight.
@@ -172,10 +173,6 @@ type Client struct {
 	dirtyMu  sync.Mutex
 	dirty    map[string][]Range
 
-	// Parallel fan-out state (fanout.go): one long-lived sender
-	// goroutine per mirror slot, started lazily on the first push that
-	// can go parallel; callPool recycles per-dispatch latches and
-	// scratch so the steady-state push path allocates nothing.
 	// rebuildPipeline is the read-ahead depth of RebuildMirror's bulk
 	// copy: 1 (the default) runs the exact historical read-then-write
 	// loop from the first survivor; n >= 2 keeps up to n chunk reads in
@@ -183,27 +180,39 @@ type Client struct {
 	// chunks write to the replacement.
 	rebuildPipeline int
 
+	// Fan-out state (fanout.go): one long-lived sender goroutine per
+	// mirror slot, started lazily on the first push that hands jobs to
+	// them; callPool recycles per-push join state and scratch so the
+	// steady-state push path allocates nothing. serialFanout runs every
+	// push's jobs inline instead. inflight[i] is set while slot i's
+	// sender is executing a job; betweenJobs, when non-nil, is called by
+	// a sender after each job (a test seam for parking a worker).
 	serialFanout bool
 	workerOnce   sync.Once
 	senders      []chan *fanoutJob
+	inflight     []atomic.Bool
+	betweenJobs  func(slot int)
 	closed       atomic.Bool
 	callPool     sync.Pool
 	// straggler is the last observed fan-out spread: slowest minus
 	// fastest mirror completion, in clock nanoseconds.
 	straggler atomic.Uint64
 
-	// Quorum commit state. quorumW > 0 makes Push/PushMany return to
-	// the caller after quorumW mirror acks; the remaining mirrors (the
-	// stragglers) complete asynchronously on their sender workers. The
-	// per-mirror pending counters account every dispatched quorum job:
-	// pendEnq[i] counts jobs handed to mirror i's sender, pendDone[i]
-	// counts jobs that finished (acked, failed, or dropped because the
-	// mirror went down). pendCond wakes drainers when a job retires.
-	quorumW  int
-	pendMu   sync.Mutex
-	pendCond *sync.Cond
-	pendEnq  []uint64
-	pendDone []uint64
+	// quorumW is the ack quorum: Push/PushMany return to the caller
+	// after min(quorumW, mirrors written) acks, and the remaining
+	// mirrors (the stragglers) complete asynchronously on their sender
+	// workers. All-ack is quorumW == len(mirrors). The per-mirror
+	// pending counters account every job handed to a sender: pendEnq[i]
+	// counts jobs dispatched to mirror i's queue, pendDone[i] counts
+	// those that finished (acked, failed, or dropped because the mirror
+	// went down). They move lock-free — every job touches them; a
+	// drainer registers in pendWaiters and sleeps on pendCond, and only
+	// then does a retiring job take pendMu to wake it.
+	quorumW           int
+	pendEnq, pendDone []atomic.Uint64
+	pendWaiters       atomic.Int32
+	pendMu            sync.Mutex
+	pendCond          *sync.Cond
 }
 
 // Option configures a Client.
@@ -245,10 +254,10 @@ func WithRebuildPipeline(n int) Option {
 	}
 }
 
-// WithSerialFanout disables the parallel mirror fan-out: every push
-// writes its mirrors one after the other on the caller's goroutine, the
-// pre-parallelisation behaviour. Used by the fan-out benchmark's
-// baseline arm and available as an escape hatch.
+// WithSerialFanout runs every push's mirror writes inline, one after
+// the other in slot order on the caller's goroutine, instead of on the
+// per-mirror sender workers. Used by the fan-out benchmark's baseline
+// arm and available as an escape hatch.
 func WithSerialFanout() Option {
 	return func(c *Client) { c.serialFanout = true }
 }
@@ -259,8 +268,7 @@ func WithSerialFanout() Option {
 // sender workers (a bounded catch-up queue; a mirror that falls more
 // than the queue length behind is degraded and handed to the guardian's
 // revive/rebuild path). w is validated against the mirror count by
-// NewClient; w equal to the mirror count is the all-ack default and
-// leaves every code path exactly as before.
+// NewClient; w equal to the mirror count is the all-ack default.
 func WithQuorum(w int) Option {
 	return func(c *Client) { c.quorumW = w }
 }
@@ -280,7 +288,7 @@ func NewClient(mirrors []Mirror, opts ...Option) (*Client, error) {
 		alignThreshold: DefaultAlignThreshold,
 		readChunk:      maxReadChunk,
 		clock:          simclock.NewWall(),
-		down:           make([]bool, len(mirrors)),
+		down:           make([]atomic.Bool, len(mirrors)),
 		rebuildSlot:    -1,
 	}
 	c.metrics.MirrorPush = make([]obs.Histogram, len(mirrors))
@@ -300,50 +308,49 @@ func NewClient(mirrors []Mirror, opts ...Option) (*Client, error) {
 	if c.quorumW < 0 || c.quorumW > len(mirrors) {
 		return nil, fmt.Errorf("netram: quorum %d outside 1..%d mirrors", c.quorumW, len(mirrors))
 	}
-	if c.quorumW == len(mirrors) {
-		// w == n is the all-ack default; normalising to zero keeps the
-		// historical (and figure-pinned) push paths untouched.
-		c.quorumW = 0
+	if c.quorumW == 0 {
+		// All-ack is quorum with w = n.
+		c.quorumW = len(mirrors)
 	}
-	if c.quorumW > 0 && c.serialFanout {
+	if c.quorumW < len(mirrors) && c.serialFanout {
+		// An inline join cannot return before the last mirror wrote.
 		return nil, errors.New("netram: WithQuorum requires the parallel fan-out (drop WithSerialFanout)")
 	}
-	if c.quorumW > 0 {
-		c.pendCond = sync.NewCond(&c.pendMu)
-		c.pendEnq = make([]uint64, len(mirrors))
-		c.pendDone = make([]uint64, len(mirrors))
-	}
+	c.inflight = make([]atomic.Bool, len(mirrors))
+	c.pendCond = sync.NewCond(&c.pendMu)
+	c.pendEnq = make([]atomic.Uint64, len(mirrors))
+	c.pendDone = make([]atomic.Uint64, len(mirrors))
 	return c, nil
 }
 
 // Quorum reports the configured ack quorum; zero means all-ack (the
 // default, including clients built with WithQuorum(n) for n mirrors).
-func (c *Client) Quorum() int { return c.quorumW }
-
-// CatchUpPending reports how many quorum writes mirror i has been
-// handed but not yet completed — the mirror's catch-up lag in writes.
-// Always zero on all-ack clients.
-func (c *Client) CatchUpPending(i int) int {
-	if c.quorumW == 0 || i < 0 || i >= len(c.mirrors) {
+func (c *Client) Quorum() int {
+	if c.quorumW == len(c.mirrors) {
 		return 0
 	}
-	c.pendMu.Lock()
-	defer c.pendMu.Unlock()
-	return int(c.pendEnq[i] - c.pendDone[i])
+	return c.quorumW
 }
 
-// WaitCatchUp blocks until every mirror has completed every quorum
-// write dispatched so far — the repair-before-read barrier: after it
-// returns (and absent concurrent pushes) no live mirror lags a
-// quorum-committed write. A no-op on all-ack clients.
-func (c *Client) WaitCatchUp() {
-	if c.quorumW == 0 {
-		return
+// CatchUpPending reports how many writes mirror i's sender has been
+// handed but not yet completed — the depth of its queue. On a quorum
+// client that is the mirror's catch-up lag in writes; on an all-ack
+// client it is at most the number of pushes in flight.
+func (c *Client) CatchUpPending(i int) int {
+	if i < 0 || i >= len(c.mirrors) {
+		return 0
 	}
-	c.drainCatchUp()
+	done := c.pendDone[i].Load() // before enq, which only runs ahead of it
+	return int(c.pendEnq[i].Load() - done)
 }
 
-// drainCatchUp waits for the per-mirror pending counters to level.
+// WaitCatchUp blocks until every mirror has completed every write
+// dispatched so far — the repair-before-read barrier: after it returns
+// (and absent concurrent pushes) no live mirror lags a quorum-committed
+// write.
+func (c *Client) WaitCatchUp() { c.drainCatchUp() }
+
+// drainCatchUp waits for every mirror's sender queue to empty.
 // Callers that hold topoMu (read or write) rely on stragglers never
 // taking the topology lock: a queued job needs only its captured Mirror
 // value and segment handle to finish, so draining under topoMu.Lock
@@ -351,30 +358,16 @@ func (c *Client) WaitCatchUp() {
 // safe, because no straggler can still reference the old topology once
 // the drain returns.
 func (c *Client) drainCatchUp() {
-	if c.quorumW == 0 {
-		return
-	}
-	c.pendMu.Lock()
-	defer c.pendMu.Unlock()
-	for {
-		settled := true
-		for i := range c.pendEnq {
-			if c.pendDone[i] < c.pendEnq[i] {
-				settled = false
-				break
-			}
-		}
-		if settled {
-			return
-		}
-		c.pendCond.Wait()
+	for i := range c.pendEnq {
+		c.waitIdle(i)
 	}
 }
 
 // Fence captures the set of quorum writes in flight at creation time;
 // Done reports whether all of them have since completed. The zero value
-// (and every fence from an all-ack client) is trivially done, so fence
-// checks cost nothing on the default path.
+// (and every fence from an all-ack client, whose pushes join on every
+// job before they return) is trivially done, so fence checks cost
+// nothing on the default path.
 type Fence struct {
 	c      *Client
 	target []uint64
@@ -382,12 +375,14 @@ type Fence struct {
 
 // Fence snapshots the current per-mirror dispatch counts.
 func (c *Client) Fence() Fence {
-	if c.quorumW == 0 {
+	if c.Quorum() == 0 {
 		return Fence{}
 	}
-	c.pendMu.Lock()
-	defer c.pendMu.Unlock()
-	return Fence{c: c, target: append([]uint64(nil), c.pendEnq...)}
+	f := Fence{c: c, target: make([]uint64, len(c.pendEnq))}
+	for i := range f.target {
+		f.target[i] = c.pendEnq[i].Load()
+	}
+	return f
 }
 
 // Done reports whether every write the fence covers has completed.
@@ -395,10 +390,8 @@ func (f Fence) Done() bool {
 	if f.c == nil {
 		return true
 	}
-	f.c.pendMu.Lock()
-	defer f.c.pendMu.Unlock()
 	for i, t := range f.target {
-		if f.c.pendDone[i] < t {
+		if f.c.pendDone[i].Load() < t {
 			return false
 		}
 	}
@@ -427,11 +420,9 @@ func (c *Client) Mirrors() int { return len(c.mirrors) }
 
 // Live reports how many mirrors are still considered healthy.
 func (c *Client) Live() int {
-	c.stateMu.Lock()
-	defer c.stateMu.Unlock()
 	n := 0
-	for _, d := range c.down {
-		if !d {
+	for i := range c.down {
+		if !c.down[i].Load() {
 			n++
 		}
 	}
@@ -442,11 +433,7 @@ func (c *Client) Live() int {
 func (c *Client) MirrorDown(i int) bool { return c.isDown(i) }
 
 // isDown reads mirror i's health flag.
-func (c *Client) isDown(i int) bool {
-	c.stateMu.Lock()
-	defer c.stateMu.Unlock()
-	return c.down[i]
-}
+func (c *Client) isDown(i int) bool { return c.down[i].Load() }
 
 // markDown records mirror i as failed; only the first transition per
 // outage counts as a degradation event. The flight event carries the
@@ -455,8 +442,8 @@ func (c *Client) isDown(i int) bool {
 func (c *Client) markDown(i int) {
 	c.stateMu.Lock()
 	defer c.stateMu.Unlock()
-	if !c.down[i] {
-		c.down[i] = true
+	if !c.down[i].Load() {
+		c.down[i].Store(true)
 		c.metrics.Degradations.Inc()
 		c.flight.Record(flight.MirrorDegrade, "netram", "mirror marked down", uint64(i))
 	}
@@ -500,13 +487,13 @@ func (c *Client) RegisterMetricsPrefixed(reg *obs.Registry, prefix string) {
 	reg.RegisterGauge(prefix+"_live_mirrors", "mirrors considered healthy", func() uint64 {
 		return uint64(c.Live())
 	})
-	reg.RegisterCounter(prefix+"_fanouts_total", "pushes dispatched through the parallel mirror fan-out", &m.Fanouts)
+	reg.RegisterCounter(prefix+"_fanouts_total", "pushes whose jobs ran on the per-mirror sender workers", &m.Fanouts)
 	reg.RegisterGauge(prefix+"_fanout_straggler_ns", "last fan-out spread: slowest minus fastest mirror completion", c.straggler.Load)
 	reg.RegisterGauge(prefix+"_quorum_width", "configured ack quorum (0 = all-ack)", func() uint64 {
-		return uint64(c.quorumW)
+		return uint64(c.Quorum())
 	})
-	reg.RegisterHistogram(prefix+"_push_ack_depth", "mirror acks collected when a quorum push returned", &m.AckDepth)
-	reg.RegisterCounter(prefix+"_catchup_overflows_total", "quorum writes dropped on a full per-mirror catch-up queue", &m.CatchUpOverflows)
+	reg.RegisterHistogram(prefix+"_push_ack_depth", "mirror acks collected when a push returned", &m.AckDepth)
+	reg.RegisterCounter(prefix+"_catchup_overflows_total", "writes dropped on a lagging mirror's full catch-up queue", &m.CatchUpOverflows)
 	reg.RegisterGauge(prefix+"_rebuild_pipeline_depth", "rebuild bulk-copy read-ahead depth (1 = sequential)", func() uint64 {
 		return uint64(c.RebuildPipeline())
 	})
@@ -518,7 +505,7 @@ func (c *Client) RegisterMetricsPrefixed(reg *obs.Registry, prefix string) {
 		i := i
 		reg.RegisterGauge(
 			fmt.Sprintf("%s_mirror%d_catchup_pending", prefix, i),
-			fmt.Sprintf("quorum writes mirror slot %d has not yet completed", i),
+			fmt.Sprintf("writes queued on mirror slot %d's sender and not yet completed", i),
 			func() uint64 { return uint64(c.CatchUpPending(i)) })
 		reg.RegisterCounter(
 			fmt.Sprintf("%s_mirror%d_rebuild_source_bytes_total", prefix, i),
@@ -669,40 +656,36 @@ func (c *Client) pushOpts(r *Region, offset, n uint64, tt *trace.TxTrace, allAck
 	if !c.alignDisabled && n >= uint64(c.alignThreshold) {
 		lo, hi = expandEdges(lo, hi, r.Size())
 	}
-	data := r.Local[lo:hi]
 	call := c.getCall()
 	// releaseCall (via the last reference) records the wire range in the
 	// rebuild's dirty set after the mirror writes land — including error
-	// paths, where some survivors may already hold the bytes. Synchronous
-	// pushes release the last reference right here, under the topology
-	// read lock, so a catch-up epoch can never consume the range before
-	// the surviving replica has it; quorum pushes with stragglers release
-	// it from the last finishing worker instead.
+	// paths, where some survivors may already hold the bytes. A push that
+	// joined on every job releases the last reference right here, under
+	// the topology read lock, so a catch-up epoch can never consume the
+	// range before the surviving replica has it; a quorum push with
+	// stragglers releases it from the last finishing worker instead.
 	defer c.releaseCall(call)
+	call.off, call.data, call.wire = lo, r.Local[lo:hi], hi-lo
 	if c.tracking.Load() {
 		call.trackName = r.Name
-		call.trackOff, call.trackLen = lo, hi-lo
 	}
-	pushed, err := c.pushMirrors(r, call, lo, data, nil, uint64(len(data)), tt, allAck)
-	if err != nil {
+	if err := c.pushMirrors(r, call, tt, allAck); err != nil {
 		return err
 	}
 	c.metrics.Pushes.Inc()
 	c.metrics.PushedBytes.Add(n)
-	c.metrics.WireBytes.Add(uint64(len(data)) * uint64(pushed))
 	c.metrics.PushLatency.ObserveDuration(c.clock.Now() - start)
 	return nil
 }
 
-// writeWithRetry performs one mirror write, classifying failures: if the
+// withRetry performs one mirror operation, classifying failures: if the
 // node is gone (its ping fails too) the mirror is degraded and the
-// write is reported as absorbed by degradation; if the node is alive the
-// failure may be a transient hiccup, so the write is retried once before
-// the error is surfaced to the caller. Runs on the caller's goroutine
-// for the serial path and inside a sender worker for the parallel one,
-// so it must not touch a TxTrace — it reports retried instead.
-func (c *Client) writeWithRetry(m Mirror, slot int, seg uint32, offset uint64, data []byte) (retried bool, err error) {
-	err = m.T.Write(seg, offset, data)
+// failure is absorbed by degradation; if the node is alive the failure
+// may be a transient hiccup, so the attempt is replayed once before the
+// error is surfaced. It may run on a sender worker, so it must not
+// touch a TxTrace — it reports retried instead.
+func (c *Client) withRetry(m Mirror, slot int, attempt func() error) (retried bool, err error) {
+	err = attempt()
 	if err == nil {
 		return false, nil
 	}
@@ -713,7 +696,7 @@ func (c *Client) writeWithRetry(m Mirror, slot int, seg uint32, offset uint64, d
 	// The node answers pings: transient failure — one retry.
 	c.metrics.Retries.Inc()
 	c.flight.Record(flight.MirrorRetry, "netram", m.Name, uint64(slot))
-	if retryErr := m.T.Write(seg, offset, data); retryErr != nil {
+	if retryErr := attempt(); retryErr != nil {
 		// Surface the retry's error — it is the failure the mirror is
 		// failing with NOW; the first attempt rides along for context.
 		return true, fmt.Errorf("%w (first attempt: %v)", retryErr, err)
@@ -778,7 +761,7 @@ func (c *Client) pushManyOpts(r *Region, ranges []Range, tt *trace.TxTrace, allA
 	// Materialise the expanded wire ranges once; per-mirror only the
 	// segment id differs. The scratch slice rides on the pooled call.
 	spans := call.spans[:0]
-	var payload, wireBytes uint64
+	var payload uint64
 	for _, rg := range ranges {
 		if rg.Length == 0 {
 			continue
@@ -789,23 +772,21 @@ func (c *Client) pushManyOpts(r *Region, ranges []Range, tt *trace.TxTrace, allA
 		}
 		spans = append(spans, wireSpan{lo, hi})
 		payload += rg.Length
-		wireBytes += hi - lo
+		call.wire += hi - lo
 	}
 	call.spans = spans
 	if len(spans) == 0 {
 		return nil
 	}
+	call.batch, call.local = spans, r.Local
 	if c.tracking.Load() {
 		call.trackName = r.Name
-		call.trackSpans = spans
 	}
-	pushed, err := c.pushMirrors(r, call, 0, nil, spans, wireBytes, tt, allAck)
-	if err != nil {
+	if err := c.pushMirrors(r, call, tt, allAck); err != nil {
 		return err
 	}
 	c.metrics.Pushes.Add(uint64(len(spans)))
 	c.metrics.PushedBytes.Add(payload)
-	c.metrics.WireBytes.Add(wireBytes * uint64(pushed))
 	c.metrics.PushLatency.ObserveDuration(c.clock.Now() - start)
 	return nil
 }
@@ -1045,7 +1026,7 @@ func (c *Client) reviveLocked(i int) error {
 		r.handles[i] = h
 	}
 	c.stateMu.Lock()
-	c.down[i] = false
+	c.down[i].Store(false)
 	c.stateMu.Unlock()
 	return nil
 }

@@ -20,61 +20,78 @@ import (
 	"github.com/ics-forth/perseas/internal/transport"
 )
 
+// forEach calls fn(i) for every i in [0,n) on up to width goroutines,
+// handing indices out in increasing order, and returns the error of the
+// lowest index that failed. No index is started after a failure, so
+// every index below the failing one has run. At width <= 1 (or n <= 1)
+// it is a plain loop on the caller's goroutine.
+func forEach(width, n int, fn func(i int) error) error {
+	if width > n {
+		width = n
+	}
+	if width <= 1 {
+		for i := 0; i < n; i++ {
+			if err := fn(i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	var (
+		next   atomic.Int64
+		failed atomic.Bool
+		wg     sync.WaitGroup
+	)
+	errs := make([]error, n)
+	for w := 0; w < width; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !failed.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				if errs[i] = fn(i); errs[i] != nil {
+					failed.Store(true)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // ConnectMany re-maps the named regions after a crash, connecting up to
-// workers names concurrently. The successfully connected prefix of
-// names is appended to the client's region list in input order —
-// exactly the order a serial Connect loop would have produced — and
-// returned; the error that stopped the prefix (nil if every name
-// connected) rides along. Connections past the first failure are
-// released, so a missing name mid-list leaves nothing attached.
-//
-// With workers <= 1 the names connect serially on the caller's
-// goroutine, still under a single topology lock acquisition.
+// workers names concurrently (serially on the caller's goroutine at
+// workers <= 1), under a single topology lock acquisition. The
+// successfully connected prefix of names is appended to the client's
+// region list in input order — exactly the order a serial Connect loop
+// would have produced — and returned; the error that stopped the prefix
+// (nil if every name connected) rides along. Connections past the
+// first failure are released, so a missing name mid-list leaves nothing
+// attached.
 func (c *Client) ConnectMany(names []string, workers int) ([]*Region, error) {
 	c.topoMu.Lock()
 	defer c.topoMu.Unlock()
 	regs := make([]*Region, len(names))
-	errs := make([]error, len(names))
-	if workers > len(names) {
-		workers = len(names)
+	stop := forEach(workers, len(names), func(i int) (err error) {
+		regs[i], err = c.connectRegion(names[i])
+		return err
+	})
+	n := 0
+	for n < len(regs) && regs[n] != nil {
+		n++
 	}
-	if workers <= 1 {
-		for i, name := range names {
-			regs[i], errs[i] = c.connectRegion(name)
-			if errs[i] != nil {
-				break
-			}
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(names) {
-						return
-					}
-					regs[i], errs[i] = c.connectRegion(names[i])
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	n := len(names)
-	var stop error
-	for i, err := range errs {
-		if err != nil {
-			n, stop = i, err
-			break
-		}
-	}
-	for i := n; i < len(names); i++ {
-		if regs[i] != nil {
-			c.releaseHandles(regs[i], len(c.mirrors))
-			regs[i] = nil
+	for _, r := range regs[n:] {
+		if r != nil {
+			c.releaseHandles(r, len(c.mirrors))
 		}
 	}
 	c.regions = append(c.regions, regs[:n]...)
@@ -90,7 +107,8 @@ func (c *Client) ConnectMany(names []string, workers int) ([]*Region, error) {
 // transaction of some undo slot, and recovery rolls back or repairs
 // exactly those ranges after the fetch.
 //
-// With workers <= 1 it is FetchInto(r, 0, r.Size()) verbatim.
+// With workers <= 1 there is nothing to stripe: it is
+// FetchInto(r, 0, r.Size()), one read from the first answering mirror.
 func (c *Client) FetchIntoStriped(r *Region, workers int) error {
 	if workers <= 1 {
 		return c.FetchInto(r, 0, r.Size())
@@ -109,38 +127,12 @@ func (c *Client) FetchIntoStriped(r *Region, workers int) error {
 	}
 	size := r.Size()
 	nChunks := int((size + c.readChunk - 1) / c.readChunk)
-	if workers > nChunks {
-		workers = nChunks
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	errs := make([]error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				ci := int(next.Add(1)) - 1
-				if ci >= nChunks {
-					return
-				}
-				off := uint64(ci) * c.readChunk
-				n := size - off
-				if n > c.readChunk {
-					n = c.readChunk
-				}
-				if err := c.fetchChunkStriped(r, eligible, ci, off, n); err != nil {
-					errs[w] = err
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	err := forEach(workers, nChunks, func(ci int) error {
+		off := uint64(ci) * c.readChunk
+		return c.fetchChunkStriped(r, eligible, ci, off, min(size-off, c.readChunk))
+	})
+	if err != nil {
+		return err
 	}
 	c.metrics.FetchLatency.ObserveDuration(c.clock.Now() - start)
 	return nil
@@ -190,38 +182,32 @@ func (c *Client) ZeroRangeAcked(r *Region, offset, n uint64) error {
 		if r.handles[i].ID == 0 || c.isDown(i) {
 			continue
 		}
-		if f, ok := m.T.(transport.Filler); ok {
-			if err := f.Fill(r.handles[i].ID, offset, n); err != nil {
-				if pingErr := m.T.Ping(); pingErr != nil {
-					// Node gone: absorbed by degradation, like a push.
-					c.markDown(i)
-					continue
+		seg := r.handles[i].ID
+		zero := func() error {
+			if f, ok := m.T.(transport.Filler); ok {
+				return f.Fill(seg, offset, n)
+			}
+			if zeroes == nil {
+				zeroes = make([]byte, min(n, c.readChunk))
+			}
+			for done := uint64(0); done < n; {
+				step := min(n-done, uint64(len(zeroes)))
+				if err := m.T.Write(seg, offset+done, zeroes[:step]); err != nil {
+					return err
 				}
-				return fmt.Errorf("netram: zero %q on mirror %s: %w", r.Name, m.Name, err)
+				c.metrics.WireBytes.Add(step)
+				done += step
 			}
-			c.metrics.Pushes.Inc()
-			continue
+			return nil
 		}
-		if zeroes == nil {
-			step := n
-			if step > c.readChunk {
-				step = c.readChunk
+		// Zeroing is idempotent, so the whole operation replays on a
+		// transient failure; a node that is gone is absorbed by
+		// degradation, like a push — the survivors carry the range.
+		if _, err := c.withRetry(m, i, zero); err != nil {
+			if c.isDown(i) {
+				continue
 			}
-			zeroes = make([]byte, step)
-		}
-		for done := uint64(0); done < n; {
-			step := n - done
-			if step > uint64(len(zeroes)) {
-				step = uint64(len(zeroes))
-			}
-			if _, err := c.writeWithRetry(m, i, r.handles[i].ID, offset+done, zeroes[:step]); err != nil {
-				if c.isDown(i) {
-					break // degraded mid-write; survivors carry the range
-				}
-				return fmt.Errorf("netram: zero %q on mirror %s: %w", r.Name, m.Name, err)
-			}
-			c.metrics.WireBytes.Add(step)
-			done += step
+			return fmt.Errorf("netram: zero %q on mirror %s: %w", r.Name, m.Name, err)
 		}
 		c.metrics.Pushes.Inc()
 	}

@@ -3,11 +3,14 @@ package netram
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/ics-forth/perseas/internal/flight"
 	"github.com/ics-forth/perseas/internal/memserver"
 	"github.com/ics-forth/perseas/internal/sci"
 	"github.com/ics-forth/perseas/internal/simclock"
@@ -176,6 +179,9 @@ func TestQuorumFenceTracksStragglers(t *testing.T) {
 // and the commit path keeps going on the remaining quorum.
 func TestQuorumCatchUpOverflowDegradesMirror(t *testing.T) {
 	c, servers, gate := newQuorumRig(t, 3, 2)
+	events := flight.New(16)
+	events.Enable()
+	c.SetFlight(events)
 	reg, err := c.Malloc("db", 4096)
 	if err != nil {
 		t.Fatal(err)
@@ -195,6 +201,19 @@ func TestQuorumCatchUpOverflowDegradesMirror(t *testing.T) {
 	if got := c.Live(); got != 2 {
 		t.Errorf("Live = %d, want 2 (overflowed mirror degraded)", got)
 	}
+	// The event alone must say which mirror, how deep, and that an
+	// exchange was in flight — lag, not an unscheduled worker.
+	var detail string
+	for _, ev := range events.Snapshot() {
+		if ev.Kind == flight.CatchUpOverflow {
+			detail = ev.Detail
+		}
+	}
+	for _, want := range []string{"nodeC", fmt.Sprintf("depth %d", catchUpQueueLen), "in-flight exchange"} {
+		if !strings.Contains(detail, want) {
+			t.Errorf("overflow event %q does not mention %q", detail, want)
+		}
+	}
 
 	// Release the parked worker so the queue drains (queued jobs for
 	// the now-down mirror are dropped, preserving its write prefix).
@@ -207,67 +226,62 @@ func TestQuorumCatchUpOverflowDegradesMirror(t *testing.T) {
 	}
 }
 
-// TestQuorumRaceMirrorDeathAndRebuild is the quorum-mode twin of
-// TestFanoutRaceMirrorDeathAndRebuild: concurrent quorum pushes while a
-// mirror dies and is rebuilt onto a spare. The rebuild's drain-then-copy
-// must leave every surviving mirror byte-identical with local memory —
-// the race detector watches the catch-up queue against the topology
-// lock.
-func TestQuorumRaceMirrorDeathAndRebuild(t *testing.T) {
+// TestFullQueueBehindIdleWorkerIsBackpressure is the other half of the
+// overflow rule: a full catch-up queue whose worker is parked BETWEEN
+// jobs — no exchange in flight, merely not running — must hold the
+// dispatcher back, not degrade a healthy mirror.
+func TestFullQueueBehindIdleWorkerIsBackpressure(t *testing.T) {
 	r := newRig(t, 3, WithQuorum(2))
-	reg, err := r.client.Malloc("db", 16384)
+	c := r.client
+	parked, hold := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	c.betweenJobs = func(slot int) {
+		if slot == 2 {
+			once.Do(func() { close(parked); <-hold })
+		}
+	}
+	reg, err := c.Malloc("db", 8192)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	spareSrv := memserver.New(memserver.WithLabel("spare"))
-	spareTr, err := transport.NewInProc(spareSrv, sci.DefaultParams(), r.clock)
-	if err != nil {
+	push := func(k int) error {
+		copy(reg.Local[k*64:], []byte{0xB0, byte(k), 2, 3, 4, 5, 6, 7})
+		return c.Push(reg, uint64(k*64), 8)
+	}
+	if err := push(0); err != nil {
 		t.Fatal(err)
 	}
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			base := uint64(g * 4096)
-			for k := 0; ; k++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				off := base + uint64(k%32)*64
-				copy(reg.Local[off:off+64], bytes.Repeat([]byte{byte(g<<4 | k&0xf)}, 64))
-				if err := r.client.PushMany(reg, []Range{{Offset: off, Length: 64}}); err != nil {
-					t.Errorf("pusher %d: %v", g, err)
-					return
-				}
-			}
-		}(g)
+	<-parked // mirror C's worker finished cell 0 and is parked between jobs
+	for k := 1; k <= catchUpQueueLen; k++ {
+		if err := push(k); err != nil { // fills C's queue; A and B ack
+			t.Fatalf("push %d: %v", k, err)
+		}
 	}
-
-	time.Sleep(5 * time.Millisecond)
-	if err := r.client.MarkMirrorDown(2); err != nil {
-		t.Fatal(err)
+	done := make(chan error, 1)
+	go func() { done <- push(catchUpQueueLen + 1) }() // one more than fits
+	for c.CatchUpPending(2) != catchUpQueueLen+1 {
+		runtime.Gosched()
 	}
-	time.Sleep(5 * time.Millisecond)
-	if err := r.client.RebuildMirror(2, Mirror{Name: "spare", T: spareTr}, nil); err != nil {
-		t.Fatal(err)
+	select {
+	case err := <-done:
+		t.Fatalf("push returned (%v) past a full queue whose worker was idle", err)
+	default:
 	}
-	time.Sleep(5 * time.Millisecond)
-	close(stop)
-	wg.Wait()
-
-	r.client.WaitCatchUp()
-	mismatches, err := r.client.VerifyAll()
-	if err != nil {
-		t.Fatal(err)
+	close(hold)
+	if err := <-done; err != nil {
+		t.Fatalf("held-back push: %v", err)
 	}
-	for _, m := range mismatches {
-		t.Errorf("post-rebuild divergence: %v", m)
+	c.WaitCatchUp()
+	if got := c.Metrics().CatchUpOverflows.Load(); got != 0 {
+		t.Errorf("catch-up overflows = %d, want 0", got)
+	}
+	if got := c.Live(); got != 3 {
+		t.Errorf("Live = %d, want 3 (an unscheduled worker is not a lagging mirror)", got)
+	}
+	for i, srv := range r.servers {
+		if got := mirrorBytes(t, srv, "db", 0, reg.Size()); !bytes.Equal(got, reg.Local) {
+			t.Errorf("mirror %d diverges from local memory", i)
+		}
 	}
 }
 
@@ -310,6 +324,15 @@ func (e *errSeq) WriteBatch(writes []transport.BatchWrite) error {
 	return nil
 }
 
+// Fill makes errSeq a transport.Filler, so ZeroRangeAcked takes the
+// server-side fill path through the same script.
+func (e *errSeq) Fill(seg uint32, offset, n uint64) error {
+	if err := e.next(); err != nil {
+		return err
+	}
+	return e.Transport.(transport.Filler).Fill(seg, offset, n)
+}
+
 func newErrSeqRig(t *testing.T) (*Client, *errSeq) {
 	t.Helper()
 	r := newRig(t, 1)
@@ -321,59 +344,55 @@ func newErrSeqRig(t *testing.T) (*Client, *errSeq) {
 	return c, es
 }
 
-// TestRetryErrorSurfacesFinalAttempt pins the retry-error attribution
-// fix: when the single retry fails too, the error the caller sees is
-// the RETRY's — the mirror's current failure mode — with the first
-// attempt's error preserved as context, not the other way round.
+// TestRetryErrorSurfacesFinalAttempt pins the one retry-and-classify
+// routine on each operation that goes through it — a single write, a
+// batch, a server-side fill. A transient failure on a mirror that still
+// answers pings is retried once and absorbed; when the retry fails too,
+// the error the caller sees is the RETRY's — the mirror's current
+// failure mode — with the first attempt's error preserved as context,
+// not the other way round.
 func TestRetryErrorSurfacesFinalAttempt(t *testing.T) {
-	c, es := newErrSeqRig(t)
-	reg, err := c.Malloc("db", 256)
-	if err != nil {
-		t.Fatal(err)
+	ops := map[string]func(*Client, *Region) error{
+		"write": func(c *Client, reg *Region) error { return c.Push(reg, 0, 8) },
+		"batch": func(c *Client, reg *Region) error { return c.PushMany(reg, []Range{{Offset: 0, Length: 8}}) },
+		"fill":  func(c *Client, reg *Region) error { return c.ZeroRangeAcked(reg, 64, 128) },
 	}
-	errFirst := errors.New("transient connection reset")
-	errRetry := errors.New("segment checksum mismatch")
-	es.errs = []error{errFirst, errRetry}
+	for name, op := range ops {
+		t.Run(name, func(t *testing.T) {
+			c, es := newErrSeqRig(t)
+			reg, err := c.Malloc("db", 256)
+			if err != nil {
+				t.Fatal(err)
+			}
+			errFirst := errors.New("transient connection reset")
+			errRetry := errors.New("segment checksum mismatch")
 
-	err = c.Push(reg, 0, 8)
-	if err == nil {
-		t.Fatal("push with both attempts failing must error")
-	}
-	if !errors.Is(err, errRetry) {
-		t.Errorf("surfaced error is not the retry's: %v", err)
-	}
-	if errors.Is(err, errFirst) {
-		t.Errorf("stale first-attempt error surfaced as the failure: %v", err)
-	}
-	if !strings.Contains(err.Error(), errFirst.Error()) {
-		t.Errorf("first attempt's error lost from the context: %v", err)
-	}
-}
+			es.errs = []error{errFirst}
+			if err := op(c, reg); err != nil {
+				t.Fatalf("a transient failure must be absorbed by the retry: %v", err)
+			}
+			if got := c.Metrics().Retries.Load(); got != 1 {
+				t.Errorf("retries = %d, want 1", got)
+			}
 
-// TestBatchRetryErrorSurfacesFinalAttempt is the same regression pinned
-// on the batched (PushMany) path.
-func TestBatchRetryErrorSurfacesFinalAttempt(t *testing.T) {
-	c, es := newErrSeqRig(t)
-	reg, err := c.Malloc("db", 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	errFirst := errors.New("transient batch stall")
-	errRetry := errors.New("batch frame rejected")
-	es.errs = []error{errFirst, errRetry}
-
-	err = c.PushMany(reg, []Range{{Offset: 0, Length: 8}})
-	if err == nil {
-		t.Fatal("batch push with both attempts failing must error")
-	}
-	if !errors.Is(err, errRetry) {
-		t.Errorf("surfaced error is not the retry's: %v", err)
-	}
-	if errors.Is(err, errFirst) {
-		t.Errorf("stale first-attempt error surfaced as the failure: %v", err)
-	}
-	if !strings.Contains(err.Error(), errFirst.Error()) {
-		t.Errorf("first attempt's error lost from the context: %v", err)
+			es.errs = []error{errFirst, errRetry}
+			err = op(c, reg)
+			if err == nil {
+				t.Fatal("both attempts failing must error")
+			}
+			if !errors.Is(err, errRetry) {
+				t.Errorf("surfaced error is not the retry's: %v", err)
+			}
+			if errors.Is(err, errFirst) {
+				t.Errorf("stale first-attempt error surfaced as the failure: %v", err)
+			}
+			if !strings.Contains(err.Error(), errFirst.Error()) {
+				t.Errorf("first attempt's error lost from the context: %v", err)
+			}
+			if c.Live() != 1 {
+				t.Error("alive-but-failing mirror was degraded")
+			}
+		})
 	}
 }
 

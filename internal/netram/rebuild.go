@@ -120,8 +120,8 @@ func (c *Client) RebuildMirror(i int, m Mirror, onProgress func(RebuildProgress)
 		return ErrRebuildInProgress
 	}
 	c.rebuildSlot = i
-	if !c.down[i] {
-		c.down[i] = true
+	if !c.down[i].Load() {
+		c.down[i].Store(true)
 		c.metrics.Degradations.Inc()
 	}
 	c.stateMu.Unlock()
@@ -249,7 +249,7 @@ func (c *Client) RebuildMirror(i int, m Mirror, onProgress func(RebuildProgress)
 		r.handles[i] = built[r.Name]
 	}
 	c.stateMu.Lock()
-	c.down[i] = false
+	c.down[i].Store(false)
 	c.rebuildSlot = -1
 	c.stateMu.Unlock()
 	c.dirtyMu.Lock()
