@@ -24,7 +24,6 @@ package netram
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -213,69 +212,61 @@ func (c *Client) sender(ch chan *fanoutJob) {
 }
 
 // enqueue hands j to its slot's sender. A full queue is backpressure —
-// the dispatcher waits for room — unless it means lag: the push can
-// complete without this mirror (droppable) and the mirror is
-// mid-exchange with catchUpQueueLen writes already behind it. Then the
-// mirror is degraded and the write dropped (its queued predecessors
-// are dropped by the worker, keeping the mirror's state a prefix); the
-// guardian revives or rebuilds it with a full resync. A full queue
-// whose worker is between exchanges is merely a worker the scheduler
-// has not run yet — yield to it — and a push that needs this mirror's
-// ack would wait for it anyway.
+// the dispatcher blocks on the send; the worker is runnable — unless it
+// means lag: the push can complete without this mirror (droppable) and
+// the mirror is mid-exchange with catchUpQueueLen writes already behind
+// it. Then the mirror is degraded and the write dropped (its queued
+// predecessors are dropped by the worker, keeping the mirror's state a
+// prefix); the guardian revives or rebuilds it with a full resync.
+//
+// The pend counters stay in queue order, or a Fence could report done
+// with a covered write still in flight: a job is counted only once it
+// is on the queue, under sendMu so that a later sender's count implies
+// every earlier sender's, and the overflow drop — which finishes here,
+// out of queue order — touches neither counter.
 func (c *Client) enqueue(j *fanoutJob, droppable bool) {
 	i, ch := j.slot, c.senders[j.slot]
-	c.pendEnq[i].Add(1)
-	for {
-		select {
-		case ch <- j:
+	c.sendMu[i].Lock()
+	select {
+	case ch <- j:
+	default:
+		if droppable && c.inflight[i].Load() {
+			c.sendMu[i].Unlock()
+			c.markDown(i)
+			c.metrics.CatchUpOverflows.Inc()
+			c.flight.Record(flight.CatchUpOverflow, "netram",
+				fmt.Sprintf("catch-up queue full: mirror %s depth %d behind an in-flight exchange", j.m.Name, len(ch)), uint64(i))
+			c.execJob(j) // down now: dropped, and finished like any other lost job
 			return
-		default:
 		}
-		if !droppable {
-			ch <- j
-			return
-		}
-		if c.inflight[i].Load() {
-			break
-		}
-		runtime.Gosched()
-	}
-	c.markDown(i)
-	c.metrics.CatchUpOverflows.Inc()
-	c.flight.Record(flight.CatchUpOverflow, "netram",
-		fmt.Sprintf("catch-up queue full: mirror %s depth %d behind an in-flight exchange", j.m.Name, len(ch)), uint64(i))
-	c.execJob(j) // down now: dropped, and finished like any other lost job
-	c.retire(i)
-}
-
-// retire counts one job handed to slot i's sender as finished and wakes
-// the drainers. It runs only after the job released its call reference,
-// so a drainer that observes the counters level also observes every
-// reclaim-side effect (dirty records in particular) of the jobs it
-// waited for.
-func (c *Client) retire(i int) {
-	c.pendDone[i].Add(1)
-	if c.pendWaiters.Load() != 0 {
-		// Passing through the lock orders the wake-up after the waiter's
-		// check: it is already waiting, or it will see the new count.
-		c.pendMu.Lock()
-		c.pendMu.Unlock()
-		c.pendCond.Broadcast()
-	}
-}
-
-// waitIdle blocks until every job handed to slot i's sender so far has
-// finished.
-func (c *Client) waitIdle(i int) {
-	if c.pendDone[i].Load() >= c.pendEnq[i].Load() {
-		return
+		ch <- j
 	}
 	c.pendMu.Lock()
-	c.pendWaiters.Add(1)
-	for c.pendDone[i].Load() < c.pendEnq[i].Load() {
+	c.pendEnq[i]++
+	c.pendMu.Unlock()
+	c.sendMu[i].Unlock()
+}
+
+// retire counts one job slot i's sender took off its queue as finished
+// and wakes the drainers. It runs only after the job released its call
+// reference, so a drainer that observes the counters level also observes
+// every reclaim-side effect (dirty records in particular) of the jobs it
+// waited for.
+func (c *Client) retire(i int) {
+	c.pendMu.Lock()
+	c.pendDone[i]++
+	c.pendMu.Unlock()
+	c.pendCond.Broadcast()
+}
+
+// waitIdle blocks until every job counted onto slot i's queue so far
+// has finished. (A worker may retire a job before its dispatcher counted
+// it, hence >= rather than ==.)
+func (c *Client) waitIdle(i int) {
+	c.pendMu.Lock()
+	for c.pendDone[i] < c.pendEnq[i] {
 		c.pendCond.Wait()
 	}
-	c.pendWaiters.Add(-1)
 	c.pendMu.Unlock()
 }
 

@@ -563,7 +563,13 @@ func TestMidFlightLossPolicy(t *testing.T) {
 					for k := 0; k < total; k++ {
 						p.pushAsync(k, res)
 					}
-					p.awaitQueued(total)
+					// All but one fit; the last holds sendMu while it is
+					// blocked on the full queue, not yet counted.
+					p.awaitQueued(total - 1)
+					for p.c.sendMu[2].TryLock() {
+						p.c.sendMu[2].Unlock()
+						runtime.Gosched()
+					}
 					close(p.victim.gate)
 					all := make([]int, total)
 					for k := range all {

@@ -203,16 +203,17 @@ type Client struct {
 	// mirrors (the stragglers) complete asynchronously on their sender
 	// workers. All-ack is quorumW == len(mirrors). The per-mirror
 	// pending counters account every job handed to a sender: pendEnq[i]
-	// counts jobs dispatched to mirror i's queue, pendDone[i] counts
-	// those that finished (acked, failed, or dropped because the mirror
-	// went down). They move lock-free — every job touches them; a
-	// drainer registers in pendWaiters and sleeps on pendCond, and only
-	// then does a retiring job take pendMu to wake it.
+	// counts jobs put on mirror i's queue, pendDone[i] counts those its
+	// worker finished (acked, failed, or dropped because the mirror went
+	// down) — both in queue order, which is what lets a Fence name "every
+	// write so far" with one number per mirror. pendMu guards them and
+	// pendCond wakes drainers when a job retires; sendMu[i] makes
+	// send-then-count one step against other dispatchers (see enqueue).
 	quorumW           int
-	pendEnq, pendDone []atomic.Uint64
-	pendWaiters       atomic.Int32
+	sendMu            []sync.Mutex
 	pendMu            sync.Mutex
 	pendCond          *sync.Cond
+	pendEnq, pendDone []uint64
 }
 
 // Option configures a Client.
@@ -318,8 +319,9 @@ func NewClient(mirrors []Mirror, opts ...Option) (*Client, error) {
 	}
 	c.inflight = make([]atomic.Bool, len(mirrors))
 	c.pendCond = sync.NewCond(&c.pendMu)
-	c.pendEnq = make([]atomic.Uint64, len(mirrors))
-	c.pendDone = make([]atomic.Uint64, len(mirrors))
+	c.sendMu = make([]sync.Mutex, len(mirrors))
+	c.pendEnq = make([]uint64, len(mirrors))
+	c.pendDone = make([]uint64, len(mirrors))
 	return c, nil
 }
 
@@ -340,8 +342,10 @@ func (c *Client) CatchUpPending(i int) int {
 	if i < 0 || i >= len(c.mirrors) {
 		return 0
 	}
-	done := c.pendDone[i].Load() // before enq, which only runs ahead of it
-	return int(c.pendEnq[i].Load() - done)
+	c.pendMu.Lock()
+	defer c.pendMu.Unlock()
+	// A worker can retire a job before its dispatcher counted it.
+	return int(max(c.pendEnq[i], c.pendDone[i]) - c.pendDone[i])
 }
 
 // WaitCatchUp blocks until every mirror has completed every write
@@ -378,11 +382,9 @@ func (c *Client) Fence() Fence {
 	if c.Quorum() == 0 {
 		return Fence{}
 	}
-	f := Fence{c: c, target: make([]uint64, len(c.pendEnq))}
-	for i := range f.target {
-		f.target[i] = c.pendEnq[i].Load()
-	}
-	return f
+	c.pendMu.Lock()
+	defer c.pendMu.Unlock()
+	return Fence{c: c, target: append([]uint64(nil), c.pendEnq...)}
 }
 
 // Done reports whether every write the fence covers has completed.
@@ -390,8 +392,10 @@ func (f Fence) Done() bool {
 	if f.c == nil {
 		return true
 	}
+	f.c.pendMu.Lock()
+	defer f.c.pendMu.Unlock()
 	for i, t := range f.target {
-		if f.c.pendDone[i].Load() < t {
+		if f.c.pendDone[i] < t {
 			return false
 		}
 	}

@@ -183,8 +183,9 @@ func (c *Client) ZeroRangeAcked(r *Region, offset, n uint64) error {
 			continue
 		}
 		seg := r.handles[i].ID
+		f, fills := m.T.(transport.Filler)
 		zero := func() error {
-			if f, ok := m.T.(transport.Filler); ok {
+			if fills {
 				return f.Fill(seg, offset, n)
 			}
 			if zeroes == nil {
@@ -195,7 +196,6 @@ func (c *Client) ZeroRangeAcked(r *Region, offset, n uint64) error {
 				if err := m.T.Write(seg, offset+done, zeroes[:step]); err != nil {
 					return err
 				}
-				c.metrics.WireBytes.Add(step)
 				done += step
 			}
 			return nil
@@ -208,6 +208,11 @@ func (c *Client) ZeroRangeAcked(r *Region, offset, n uint64) error {
 				continue
 			}
 			return fmt.Errorf("netram: zero %q on mirror %s: %w", r.Name, m.Name, err)
+		}
+		if !fills {
+			// Once per zeroed mirror, as a push counts once per acked job:
+			// a replayed attempt's chunks are not new payload.
+			c.metrics.WireBytes.Add(n)
 		}
 		c.metrics.Pushes.Inc()
 	}

@@ -226,6 +226,41 @@ func TestQuorumCatchUpOverflowDegradesMirror(t *testing.T) {
 	}
 }
 
+// TestFenceHoldsAcrossCatchUpOverflow: an overflow drop finishes on the
+// dispatcher, out of queue order, so it must not advance the counters a
+// Fence reads — core reuses an undo slot (and rewrites the bytes a
+// straggler's payload aliases) as soon as the slot's fence is done.
+func TestFenceHoldsAcrossCatchUpOverflow(t *testing.T) {
+	c, _, gate := newQuorumRig(t, 3, 2)
+	reg, err := c.Malloc("db", 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	push := func(i int) {
+		off := uint64(i%32) * 64
+		reg.Local[off] = byte(i)
+		if err := c.Push(reg, off, 8); err != nil {
+			t.Fatalf("push %d: %v", i, err)
+		}
+	}
+	push(0) // parks inside mirror C's Write, or queues behind nothing
+	f := c.Fence()
+	for i := 1; c.Metrics().CatchUpOverflows.Load() == 0; i++ {
+		if i > catchUpQueueLen+2 {
+			t.Fatal("queue never overflowed")
+		}
+		push(i)
+	}
+	if f.Done() {
+		t.Fatal("fence done with its write still parked inside the mirror")
+	}
+	close(gate)
+	c.WaitCatchUp()
+	if !f.Done() {
+		t.Error("fence not done after the queue drained")
+	}
+}
+
 // TestFullQueueBehindIdleWorkerIsBackpressure is the other half of the
 // overflow rule: a full catch-up queue whose worker is parked BETWEEN
 // jobs — no exchange in flight, merely not running — must hold the
@@ -259,13 +294,19 @@ func TestFullQueueBehindIdleWorkerIsBackpressure(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() { done <- push(catchUpQueueLen + 1) }() // one more than fits
-	for c.CatchUpPending(2) != catchUpQueueLen+1 {
-		runtime.Gosched()
+	// The pusher holds sendMu[2] for as long as it is blocked on the send.
+	for blocked := false; !blocked; runtime.Gosched() {
+		select {
+		case err := <-done:
+			t.Fatalf("push returned (%v) past a full queue whose worker was idle", err)
+		default:
+		}
+		if blocked = !c.sendMu[2].TryLock(); !blocked {
+			c.sendMu[2].Unlock()
+		}
 	}
-	select {
-	case err := <-done:
-		t.Fatalf("push returned (%v) past a full queue whose worker was idle", err)
-	default:
+	if got := c.CatchUpPending(2); got != catchUpQueueLen {
+		t.Errorf("pending = %d, want %d (a blocked send is not yet on the queue)", got, catchUpQueueLen)
 	}
 	close(hold)
 	if err := <-done; err != nil {
