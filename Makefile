@@ -75,7 +75,11 @@ bench-recovery:
 bench-server:
 	$(GO) run ./cmd/perseas-bench -experiment server -bench-out BENCH_server.json
 
-# Regenerate every table and figure of the paper.
+# Regenerate every table and figure of the paper. The output is pinned:
+# TestAllExperimentsMatchReference (cmd/perseas-bench, part of `make
+# test`) compares it with experiments_output.txt byte for byte. A change
+# that moves a modelled cost on purpose regenerates the reference with
+# `go run ./cmd/perseas-bench -experiment all > experiments_output.txt`.
 experiments:
 	$(GO) run ./cmd/perseas-bench -experiment all
 

@@ -69,6 +69,34 @@ func TestRunAllMentionsCommitPath(t *testing.T) {
 	}
 }
 
+// TestAllExperimentsMatchReference pins every reproduced table and
+// figure: `perseas-bench -experiment all` at its default arguments must
+// equal the committed experiments_output.txt byte for byte. The figures
+// run on the simulated clock, so the comparison is exact on any host;
+// a change that moves a modelled cost regenerates the file on purpose
+// (`go run ./cmd/perseas-bench -experiment all > experiments_output.txt`)
+// and says why.
+func TestAllExperimentsMatchReference(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("..", "..", "experiments_output.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	if err := run(&got, "all", 2000); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() == string(want) {
+		return
+	}
+	gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gotLines) && i < len(wantLines); i++ {
+		if gotLines[i] != wantLines[i] {
+			t.Fatalf("output diverges from experiments_output.txt at line %d:\n got: %s\nwant: %s", i+1, gotLines[i], wantLines[i])
+		}
+	}
+	t.Fatalf("output has %d lines, experiments_output.txt has %d", len(gotLines), len(wantLines))
+}
+
 // TestTracingKeepsOutputByteIdentical pins the acceptance criterion of
 // the tracing layer: the recorder only reads the simulated clock, so
 // enabling it — with or without a slower-than filter — must leave the

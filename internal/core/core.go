@@ -239,10 +239,9 @@ type Library struct {
 	// anomaly flight recorder; nil records nothing.
 	flightRec *flight.Recorder
 
-	// recoveryWorkers bounds the goroutines crash recovery may use per
-	// phase. 1 (the default) runs the exact historical serial loops, so
-	// reproduced recovery figures are unchanged unless parallelism is
-	// asked for.
+	// recoveryWorkers is the width of the recovery pipeline: how many
+	// units of one phase run at once. At 1 (the default) every phase runs
+	// inline on the caller's goroutine.
 	recoveryWorkers int
 }
 
@@ -279,14 +278,15 @@ func WithTracer(rec *trace.Recorder) Option {
 	return func(l *Library) { l.tracer = rec }
 }
 
-// WithRecoveryParallelism lets crash recovery use up to n workers per
-// phase: metadata snapshots fetch concurrently, undo slots reconnect and
-// scan in parallel (slots hold disjoint ranges, so their scans are
-// independent), database regions fetch through a bounded pool striping
-// read chunks across the surviving mirrors, and rollback/repair
-// publishes batch per region. n <= 1 keeps the paper's serial recovery
-// loop byte-for-byte, so reproduced figures are unaffected by default.
-// The recovered state is identical at every parallelism level.
+// WithRecoveryParallelism sets the width of the recovery pipeline: up to
+// n units of each phase run at once — metadata snapshots, undo-slot
+// reconnects and scans (slots hold disjoint ranges, so their scans are
+// independent), database fetches (which also stripe read chunks across
+// the surviving mirrors), winner fetches and per-database repair
+// publishes. n <= 1 runs the same phases inline on the caller's
+// goroutine. The recovered state is identical at every width, and so is
+// the modelled recovery time: the simulated link charges per operation,
+// whatever the order.
 func WithRecoveryParallelism(n int) Option {
 	return func(l *Library) {
 		if n > 1 {

@@ -29,11 +29,10 @@ type CommitMetrics struct {
 	Repairs obs.Counter
 }
 
-// RecoveryMetrics breaks a crash recovery into its phases, mirroring
-// the spans WithRecoveryParallelism parallelises: metadata reconnect
-// and snapshots, undo-slot reconnect, database image fetch, undo-log
-// scans, rollback publish, staged quorum repair, and the quorum undo
-// republish. Histograms hold nanoseconds of clock delta; the clock is
+// RecoveryMetrics breaks a crash recovery into the phases of its
+// pipeline, one histogram per phase span: metadata reconnect and
+// snapshots, undo-slot reconnect, database image fetch, undo-log scans,
+// rollback, staged quorum repair, and the quorum undo republish. Histograms hold nanoseconds of clock delta; the clock is
 // only ever read, so instrumentation never shifts modelled time.
 type RecoveryMetrics struct {
 	// MetaFetch is metadata reconnect, directory fetch and — under
@@ -45,11 +44,11 @@ type RecoveryMetrics struct {
 	DBFetch obs.Histogram
 	// SlotScan is the per-slot head-transaction undo-log scans.
 	SlotScan obs.Histogram
-	// Rollback is the all-ack in-flight rollback and its mirror repair
-	// publish.
+	// Rollback is the all-ack in-flight rollback: local restores, then
+	// one acked publish per database.
 	Rollback obs.Histogram
-	// Repair is the staged quorum repair: winner fetches, local applies
-	// and the acked publish.
+	// Repair is the staged quorum repair: winner fetches, local restores
+	// and one acked publish per database.
 	Repair obs.Histogram
 	// Republish is the quorum undo-log republish (winner prefix plus
 	// remote tail zeroing).
@@ -90,7 +89,7 @@ func (l *Library) RegisterMetricsPrefixed(reg *obs.Registry, prefix string) {
 	reg.RegisterHistogram(prefix+"_recover_quorum_repair_ns", "recovery staged quorum repair", &rm.Repair)
 	reg.RegisterHistogram(prefix+"_recover_undo_republish_ns", "recovery quorum undo-log republish", &rm.Republish)
 	reg.RegisterHistogram(prefix+"_recover_total_ns", "whole successful Recover call", &rm.RecoverTotal)
-	reg.RegisterGauge(prefix+"_recover_parallelism", "workers crash recovery may use (1 = serial)", func() uint64 {
+	reg.RegisterGauge(prefix+"_recover_parallelism", "width of the recovery pipeline (1 = inline)", func() uint64 {
 		if l.recoveryWorkers > 1 {
 			return uint64(l.recoveryWorkers)
 		}

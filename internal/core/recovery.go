@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"github.com/ics-forth/perseas/internal/flight"
 	"github.com/ics-forth/perseas/internal/hostmem"
@@ -39,48 +37,6 @@ type mirrorCopy struct {
 	buf []byte
 }
 
-// runParallel runs fn(0)..fn(n-1) on up to workers goroutines. With
-// workers <= 1 it is a plain serial loop that stops at the first error.
-// In parallel every index runs regardless of failures and the error of
-// the lowest failing index is returned, so the reported failure does not
-// depend on goroutine scheduling.
-func runParallel(workers, n int, fn func(int) error) error {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				errs[i] = fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // fetchMetaCopies snapshots the metadata region from every reachable
 // mirror, up to workers at a time. Quorum recovery needs at least n-w+1
 // copies: a commit word acked by w of n mirrors is then guaranteed to
@@ -94,7 +50,7 @@ func (l *Library) fetchMetaCopies(meta *netram.Region, workers int) ([]mirrorCop
 	// Unreachable mirrors are expected here — they are why recovery is
 	// running — so a fetch failure is recorded per index, never returned,
 	// and the remaining mirrors are always tried.
-	_ = runParallel(workers, n, func(i int) error {
+	_ = netram.ForEach(workers, n, func(i int) error {
 		data, err := l.net.FetchMirror(i, meta, 0, meta.Size())
 		if err != nil {
 			errs[i] = err
@@ -337,20 +293,6 @@ func (l *Library) mergeSlotWord(meta *netram.Region, k int, committed0 uint64, q
 	return word, holders, nil
 }
 
-// recoveryStep runs one recovery phase under a trace span, a phase
-// histogram, and a flight-recorder event. The clock is only read, never
-// advanced, so instrumented recovery reports the same modelled time as
-// the bare procedure.
-func (l *Library) recoveryStep(root trace.InfraSpan, workers int, name string, h *obs.Histogram, fn func() error) error {
-	l.flightRec.Record(flight.RecoveryPhase, "core", name, uint64(workers))
-	sp := root.Child(trace.LayerCore, name)
-	start := l.clock.Now()
-	err := fn()
-	h.ObserveDuration(l.clock.Now() - start)
-	sp.End()
-	return err
-}
-
 // Recover implements engine.Engine: the paper's Section 3/4 recovery
 // procedure, run after the primary node crashed and lost its main memory.
 //
@@ -404,502 +346,394 @@ func (l *Library) RecoverWithDecisions(decided map[int]uint64) error {
 	return nil
 }
 
-// recoverLocked is the recovery procedure proper, split into phases.
-// With workers == 1 every phase runs the exact serial loop this package
-// has always run; with workers > 1 the phases whose units are
-// independent — metadata snapshots, slot reconnects and scans, database
-// fetches, repair publishes — spread over a bounded worker pool, and
-// database fetches additionally stripe read chunks across the surviving
-// mirrors. The recovered state is byte-identical either way: slots hold
-// disjoint ranges, staged repairs still apply serially in commit order,
-// and batched publishes ship the same final local bytes the per-record
-// pushes would.
+// recovery carries one run of the procedure from phase to phase: what
+// the metadata said, the regions reconnected so far, and the repairs
+// the slot scan staged. Every phase spreads its independent units —
+// metadata snapshots, slot reconnects and scans, database fetches,
+// winner fetches, repair publishes — over netram.ForEach at the
+// configured width, and database fetches additionally stripe read
+// chunks across the surviving mirrors; at width 1 (the default) that is
+// the same pipeline run inline on the caller's goroutine. The recovered
+// state is byte-identical at every width: slots hold disjoint ranges,
+// staged repairs apply serially in commit order, and every publish
+// ships final local bytes.
+type recovery struct {
+	l       *Library
+	root    trace.InfraSpan
+	workers int
+	q       int
+	decided map[int]uint64
+
+	// meta_fetch
+	meta         *netram.Region
+	committed0   uint64
+	undoSize     uint64
+	storedNextID uint32
+	entries      []dirEntry
+	metaCopies   []mirrorCopy
+	// slot_connect, db_fetch
+	slots []recoveredSlot
+	dbs   map[string]*Database
+	byID  map[uint32]*Database
+	maxID uint32
+	// slot_scan: rollbacks holds each all-ack slot's in-flight records,
+	// repairs each quorum slot's staged repair.
+	committed uint64
+	lastTxID  uint64
+	rollbacks []repairOp
+	repairs   []repairOp
+}
+
+// recoverLocked is the recovery procedure proper: a fixed sequence of
+// phases whose only variable is the width.
 func (l *Library) recoverLocked(root trace.InfraSpan, workers int, decided map[int]uint64) error {
-	q := l.net.Quorum()
-
-	// Phase 1: reconnect the metadata region, fetch the directory, and —
-	// under quorum — snapshot the metadata from every reachable mirror.
-	var (
-		meta         *netram.Region
-		committed0   uint64
-		undoSize     uint64
-		storedNextID uint32
-		entries      []dirEntry
-		metaCopies   []mirrorCopy
-	)
-	err := l.recoveryStep(root, workers, "meta_fetch", &l.recMetrics.MetaFetch, func() error {
-		var err error
-		meta, err = l.net.Connect(l.qualify(metaRegionName))
-		if err != nil {
-			return fmt.Errorf("perseas: reconnect metadata: %w", err)
-		}
-		if err := l.net.FetchInto(meta, 0, meta.Size()); err != nil {
-			return fmt.Errorf("perseas: fetch metadata: %w", err)
-		}
-		committed0, undoSize, storedNextID, entries, err = readDirectory(meta.Local)
-		if err != nil {
-			return err
-		}
-		if q > 0 {
-			// Quorum mode: the commit words on the fetched copy may lag
-			// other mirrors, so snapshot the metadata from every
-			// reachable mirror and merge each slot's word by maximum
-			// later. The directory itself is always pushed fully acked,
-			// so the base copy is authoritative for everything but the
-			// words.
-			metaCopies, err = l.fetchMetaCopies(meta, workers)
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
+	rc := &recovery{l: l, root: root, workers: workers, q: l.net.Quorum(), decided: decided}
+	m := &l.recMetrics
+	if err := rc.step("meta_fetch", &m.MetaFetch, rc.metaFetch); err != nil {
 		return err
 	}
-
-	// Phase 2: reconnect every undo slot and settle its commit word.
-	// Slot 0 always exists; further slots were allocated on demand by
-	// past concurrency and are found by name. Word settlement stays
-	// serial at every parallelism — it is a handful of 8-byte writes and
-	// its meta.Local updates must not race.
-	recovered := []recoveredSlot{}
-	err = l.recoveryStep(root, workers, "slot_connect", &l.recMetrics.SlotConnect, func() error {
-		if workers <= 1 {
-			for k := 0; k < maxUndoSlots; k++ {
-				region, err := l.net.Connect(l.qualify(undoSlotName(k)))
-				if err != nil {
-					if k == 0 {
-						return fmt.Errorf("perseas: reconnect undo log: %w", err)
-					}
-					break
-				}
-				if region.Size() != undoSize {
-					return fmt.Errorf("perseas: undo slot %d size %d does not match metadata %d",
-						k, region.Size(), undoSize)
-				}
-				word, holders, err := l.mergeSlotWord(meta, k, committed0, q, metaCopies, decided)
-				if err != nil {
-					return err
-				}
-				recovered = append(recovered, recoveredSlot{region: region, committed: word, holders: holders})
-			}
-			return nil
-		}
-		// Probe every possible slot name concurrently; the connected
-		// prefix is exactly the slot set the serial probe would find.
-		names := make([]string, maxUndoSlots)
-		for k := range names {
-			names[k] = l.qualify(undoSlotName(k))
-		}
-		regions, cerr := l.net.ConnectMany(names, workers)
-		if len(regions) == 0 {
-			return fmt.Errorf("perseas: reconnect undo log: %w", cerr)
-		}
-		for k, region := range regions {
-			if region.Size() != undoSize {
-				return fmt.Errorf("perseas: undo slot %d size %d does not match metadata %d",
-					k, region.Size(), undoSize)
-			}
-			word, holders, err := l.mergeSlotWord(meta, k, committed0, q, metaCopies, decided)
-			if err != nil {
-				return err
-			}
-			recovered = append(recovered, recoveredSlot{region: region, committed: word, holders: holders})
-		}
-		return nil
-	})
-	if err != nil {
+	if err := rc.step("slot_connect", &m.SlotConnect, rc.slotConnect); err != nil {
 		return err
 	}
-
-	// Phase 3: reconnect every database record and copy it back. At
-	// parallelism the regions reconnect through the pool and each image
-	// is fetched in read-chunk stripes spread round-robin across the
-	// surviving mirrors, so the transfer rides their aggregate
-	// bandwidth. Striping is safe mid-recovery: replicas can only
-	// disagree on bytes of some slot's head transaction, and exactly
-	// those ranges are rolled back or repaired after the fetch.
-	dbs := make(map[string]*Database, len(entries))
-	byID := make(map[uint32]*Database, len(entries))
-	var maxID uint32
-	err = l.recoveryStep(root, workers, "db_fetch", &l.recMetrics.DBFetch, func() error {
-		regions := make([]*netram.Region, len(entries))
-		if workers <= 1 {
-			for i, e := range entries {
-				region, err := l.net.Connect(l.qualify(dbRegionPrefix + e.name))
-				if err != nil {
-					return fmt.Errorf("perseas: reconnect database %q: %w", e.name, err)
-				}
-				if region.Size() != e.size {
-					return fmt.Errorf("perseas: database %q size %d does not match directory %d",
-						e.name, region.Size(), e.size)
-				}
-				if err := l.net.FetchInto(region, 0, region.Size()); err != nil {
-					return fmt.Errorf("perseas: fetch database %q: %w", e.name, err)
-				}
-				regions[i] = region
-			}
-		} else {
-			names := make([]string, len(entries))
-			for i, e := range entries {
-				names[i] = l.qualify(dbRegionPrefix + e.name)
-			}
-			regs, cerr := l.net.ConnectMany(names, workers)
-			if cerr != nil {
-				return fmt.Errorf("perseas: reconnect database %q: %w", entries[len(regs)].name, cerr)
-			}
-			for i, region := range regs {
-				if region.Size() != entries[i].size {
-					return fmt.Errorf("perseas: database %q size %d does not match directory %d",
-						entries[i].name, region.Size(), entries[i].size)
-				}
-				regions[i] = region
-			}
-			if err := runParallel(workers, len(entries), func(i int) error {
-				if err := l.net.FetchIntoStriped(regions[i], workers); err != nil {
-					return fmt.Errorf("perseas: fetch database %q: %w", entries[i].name, err)
-				}
-				return nil
-			}); err != nil {
-				return err
-			}
-		}
-		for i, e := range entries {
-			db := &Database{id: e.id, name: e.name, region: regions[i]}
-			dbs[e.name] = db
-			byID[e.id] = db
-			if e.id > maxID {
-				maxID = e.id
-			}
-		}
-		return nil
-	})
-	if err != nil {
+	if err := rc.step("db_fetch", &m.DBFetch, rc.dbFetch); err != nil {
 		return err
 	}
-
-	// Phase 4: scan each slot's remote undo log for its head
-	// transaction's records. Slots hold disjoint ranges and each scan
-	// touches only its own region, so the scans are independent; the
-	// aggregation below runs in slot order either way, keeping the
-	// repair list and the id re-seed deterministic. The largest id seen
-	// anywhere — commit words and log records — re-seeds the
-	// transaction-id counter.
-	committed := uint64(0)
-	lastTxID := uint64(0)
-	slotRecs := make([][]undoRecord, len(recovered))
-	type slotScan struct {
-		recs   []undoRecord
-		op     *repairOp
-		prefix uint64
-	}
-	scans := make([]slotScan, len(recovered))
-	var repairs []repairOp
-	err = l.recoveryStep(root, workers, "slot_scan", &l.recMetrics.SlotScan, func() error {
-		if err := runParallel(workers, len(recovered), func(k int) error {
-			rs := recovered[k]
-			if q > 0 {
-				op, prefix, err := l.planSlotRepair(k, rs)
-				if err != nil {
-					return err
-				}
-				scans[k] = slotScan{op: op, prefix: prefix}
-				return nil
-			}
-			recs, err := scanUndoLogLazy(rs.committed, rs.region.Size(), l.lazyFetcher(rs.region))
-			if err != nil {
-				return err
-			}
-			scans[k] = slotScan{recs: recs}
-			return nil
-		}); err != nil {
-			return err
-		}
-		for k := range recovered {
-			rs := &recovered[k]
-			if rs.committed > committed {
-				committed = rs.committed
-			}
-			if rs.committed > lastTxID {
-				lastTxID = rs.committed
-			}
-			recs := scans[k].recs
-			if q > 0 {
-				rs.prefix = scans[k].prefix
-				if op := scans[k].op; op != nil {
-					repairs = append(repairs, *op)
-					recs = op.recs
-				}
-			} else {
-				slotRecs[k] = recs
-			}
-			for _, rec := range recs {
-				if rec.txID > lastTxID {
-					lastTxID = rec.txID
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
+	if err := rc.step("slot_scan", &m.SlotScan, rc.slotScan); err != nil {
 		return err
 	}
-
-	l.metaSize = meta.Size()
-	l.undoSize = undoSize
-	l.metaMu.Lock()
-	l.meta = meta
-	l.metaMu.Unlock()
-	l.slots = make([]*undoSlot, len(recovered))
-	for k, rs := range recovered {
-		l.slots[k] = &undoSlot{
-			idx:       k,
-			region:    rs.region,
-			wordOff:   slotWordOffset(meta.Size(), k),
-			committed: rs.committed,
-		}
-	}
-	l.dbs = dbs
-	l.byID = byID
-	l.nextDBID = maxID + 1
-	if storedNextID > l.nextDBID {
-		// Ids of dropped databases stay retired so no stale undo record
-		// can ever alias a database created after this recovery.
-		l.nextDBID = storedNextID
-	}
-	l.dirEnd = directoryEnd(entries)
-
-	// Phase 5: roll back each slot's in-flight transaction, newest
-	// record first: restore each before-image locally and repair the
-	// mirror copy. At parallelism the local restores still run slot by
-	// slot, newest first, and the repair publish batches the final local
-	// bytes per database — ranges within a transaction may overlap, but
-	// every publish then ships the same fully-restored bytes the
-	// per-record pushes would have converged on.
-	err = l.recoveryStep(root, workers, "rollback", &l.recMetrics.Rollback, func() error {
-		if workers <= 1 {
-			for _, recs := range slotRecs {
-				for i := len(recs) - 1; i >= 0; i-- {
-					rec := recs[i]
-					db, ok := byID[rec.dbID]
-					if !ok {
-						// The record references a database dropped after the
-						// transaction aborted; there is nothing left to restore.
-						continue
-					}
-					if rec.offset > db.Size() || rec.length > db.Size()-rec.offset {
-						return fmt.Errorf("perseas: undo record outside database %q", db.name)
-					}
-					l.mem.Copy(l.clock, db.region.Local[rec.offset:rec.offset+rec.length], rec.data)
-					if err := l.net.Push(db.region, rec.offset, rec.length); err != nil {
-						return fmt.Errorf("perseas: repair mirror of %q: %w", db.name, err)
-					}
-				}
-			}
-			return nil
-		}
-		var order []*Database
-		ranges := make(map[*Database][]netram.Range)
-		for _, recs := range slotRecs {
-			for i := len(recs) - 1; i >= 0; i-- {
-				rec := recs[i]
-				db, ok := byID[rec.dbID]
-				if !ok {
-					continue
-				}
-				if rec.offset > db.Size() || rec.length > db.Size()-rec.offset {
-					return fmt.Errorf("perseas: undo record outside database %q", db.name)
-				}
-				l.mem.Copy(l.clock, db.region.Local[rec.offset:rec.offset+rec.length], rec.data)
-				if _, ok := ranges[db]; !ok {
-					order = append(order, db)
-				}
-				ranges[db] = append(ranges[db], netram.Range{Offset: rec.offset, Length: rec.length})
-			}
-		}
-		return runParallel(workers, len(order), func(i int) error {
-			db := order[i]
-			if err := l.net.PushMany(db.region, ranges[db]); err != nil {
-				return fmt.Errorf("perseas: repair mirror of %q: %w", db.name, err)
-			}
-			return nil
-		})
-	})
-	if err != nil {
+	rc.install()
+	if err := rc.step("rollback", &m.Rollback, rc.rollback); err != nil {
 		return err
 	}
-
-	// Phase 6: quorum repairs are staged against the local image first
-	// and published only afterwards: writes to the mirrors begin only
-	// after every winner's bytes were fetched, so one slot's repair can
-	// never clobber bytes another slot still needs to read. Forward
-	// repairs apply in commit order (descending holder count — see
-	// repairOp); rollbacks apply last, because an in-flight claim is
-	// always the newest writer of its bytes. At parallelism the winner
-	// fetches run concurrently up front (the mirrors are untouched until
-	// publish, so the bytes read are the same), the local applies keep
-	// their serial commit order, and the publishes batch per database.
-	if len(repairs) > 0 {
-		err = l.recoveryStep(root, workers, "quorum_repair", &l.recMetrics.Repair, func() error {
-			sort.SliceStable(repairs, func(i, j int) bool {
-				a, b := repairs[i], repairs[j]
-				if a.forward != b.forward {
-					return a.forward
-				}
-				return a.forward && a.holders > b.holders
-			})
-			if workers <= 1 {
-				type pubRange struct {
-					db  *Database
-					off uint64
-					n   uint64
-				}
-				var pub []pubRange
-				for _, op := range repairs {
-					for i := len(op.recs) - 1; i >= 0; i-- {
-						rec := op.recs[i]
-						db, ok := byID[rec.dbID]
-						if !ok {
-							continue
-						}
-						if rec.offset > db.Size() || rec.length > db.Size()-rec.offset {
-							return fmt.Errorf("perseas: undo record outside database %q", db.name)
-						}
-						if op.forward {
-							data, err := l.net.FetchMirror(op.winner, db.region, rec.offset, rec.length)
-							if err != nil {
-								return fmt.Errorf("perseas: re-fetch committed range of %q: %w", db.name, err)
-							}
-							l.mem.Copy(l.clock, db.region.Local[rec.offset:rec.offset+rec.length], data)
-						} else {
-							l.mem.Copy(l.clock, db.region.Local[rec.offset:rec.offset+rec.length], rec.data)
-						}
-						pub = append(pub, pubRange{db: db, off: rec.offset, n: rec.length})
-					}
-				}
-				for _, p := range pub {
-					if err := l.net.PushAcked(p.db.region, p.off, p.n); err != nil {
-						return fmt.Errorf("perseas: repair mirror of %q: %w", p.db.name, err)
-					}
-				}
-				return nil
-			}
-			// Prefetch every forward repair's winner bytes concurrently.
-			// Records with a dropped database or bad bounds are skipped
-			// here; the serial apply loop below reports them exactly as
-			// the serial path would.
-			type fetchJob struct{ op, rec int }
-			var jobs []fetchJob
-			pre := make([][][]byte, len(repairs))
-			for i := range repairs {
-				op := &repairs[i]
-				if !op.forward {
-					continue
-				}
-				pre[i] = make([][]byte, len(op.recs))
-				for j, rec := range op.recs {
-					db, ok := byID[rec.dbID]
-					if !ok {
-						continue
-					}
-					if rec.offset > db.Size() || rec.length > db.Size()-rec.offset {
-						continue
-					}
-					jobs = append(jobs, fetchJob{op: i, rec: j})
-				}
-			}
-			if err := runParallel(workers, len(jobs), func(n int) error {
-				j := jobs[n]
-				op := &repairs[j.op]
-				rec := op.recs[j.rec]
-				db := byID[rec.dbID]
-				data, err := l.net.FetchMirror(op.winner, db.region, rec.offset, rec.length)
-				if err != nil {
-					return fmt.Errorf("perseas: re-fetch committed range of %q: %w", db.name, err)
-				}
-				buf := make([]byte, len(data))
-				copy(buf, data)
-				pre[j.op][j.rec] = buf
-				return nil
-			}); err != nil {
-				return err
-			}
-			var order []*Database
-			ranges := make(map[*Database][]netram.Range)
-			for i := range repairs {
-				op := &repairs[i]
-				for j := len(op.recs) - 1; j >= 0; j-- {
-					rec := op.recs[j]
-					db, ok := byID[rec.dbID]
-					if !ok {
-						continue
-					}
-					if rec.offset > db.Size() || rec.length > db.Size()-rec.offset {
-						return fmt.Errorf("perseas: undo record outside database %q", db.name)
-					}
-					if op.forward {
-						l.mem.Copy(l.clock, db.region.Local[rec.offset:rec.offset+rec.length], pre[i][j])
-					} else {
-						l.mem.Copy(l.clock, db.region.Local[rec.offset:rec.offset+rec.length], rec.data)
-					}
-					if _, ok := ranges[db]; !ok {
-						order = append(order, db)
-					}
-					ranges[db] = append(ranges[db], netram.Range{Offset: rec.offset, Length: rec.length})
-				}
-			}
-			return runParallel(workers, len(order), func(i int) error {
-				db := order[i]
-				if err := l.net.PushManyAckedTraced(db.region, ranges[db], nil); err != nil {
-					return fmt.Errorf("perseas: repair mirror of %q: %w", db.name, err)
-				}
-				return nil
-			})
-		})
-		if err != nil {
+	if len(rc.repairs) > 0 {
+		if err := rc.step("quorum_repair", &m.Repair, rc.quorumRepair); err != nil {
 			return err
 		}
 	}
-
-	// Phase 7: quorum recovery adopted each slot's winning undo log as
-	// the local image; republish it so every mirror's copy — including
-	// one that missed straggler writes entirely — is byte-identical
-	// before the region set is readable. Only the materialised prefix
-	// ships as payload; the tail beyond the winner's records must be
-	// zeros everywhere (a future scan treats zeros as log end, and stale
-	// divergent tails must not survive into the next crash's winner
-	// election), so it is cleared remotely without shipping a payload of
-	// zeroes.
-	if q > 0 {
-		err = l.recoveryStep(root, workers, "undo_republish", &l.recMetrics.Republish, func() error {
-			return runParallel(workers, len(recovered), func(k int) error {
-				rs := recovered[k]
-				if rs.prefix > 0 {
-					if err := l.net.PushAcked(rs.region, 0, rs.prefix); err != nil {
-						return fmt.Errorf("perseas: republish undo log: %w", err)
-					}
-				}
-				if rs.prefix < rs.region.Size() {
-					if err := l.net.ZeroRangeAcked(rs.region, rs.prefix, rs.region.Size()-rs.prefix); err != nil {
-						return fmt.Errorf("perseas: republish undo log: %w", err)
-					}
-				}
-				return nil
-			})
-		})
-		if err != nil {
+	if rc.q > 0 {
+		if err := rc.step("undo_republish", &m.Republish, rc.undoRepublish); err != nil {
 			return err
 		}
 	}
-
-	l.committed = committed
-	l.lastTxID = lastTxID
+	l.committed = rc.committed
+	l.lastTxID = rc.lastTxID
 	l.txs = make(map[*Tx]struct{})
 	l.locks = newConflictTable()
 	l.crashed = false
 	l.stats.Recoveries++
 	return nil
+}
+
+// step runs one phase under a trace span, a phase histogram, and a
+// flight-recorder event. The clock is only read, never advanced, so
+// instrumented recovery reports the same modelled time as the bare
+// procedure.
+func (rc *recovery) step(name string, h *obs.Histogram, phase func() error) error {
+	l := rc.l
+	l.flightRec.Record(flight.RecoveryPhase, "core", name, uint64(rc.workers))
+	sp := rc.root.Child(trace.LayerCore, name)
+	start := l.clock.Now()
+	err := phase()
+	h.ObserveDuration(l.clock.Now() - start)
+	sp.End()
+	return err
+}
+
+// metaFetch reconnects the metadata region, fetches the directory, and —
+// under quorum — snapshots the metadata from every reachable mirror.
+func (rc *recovery) metaFetch() error {
+	l := rc.l
+	var err error
+	rc.meta, err = l.net.Connect(l.qualify(metaRegionName))
+	if err != nil {
+		return fmt.Errorf("perseas: reconnect metadata: %w", err)
+	}
+	if err := l.net.FetchInto(rc.meta, 0, rc.meta.Size()); err != nil {
+		return fmt.Errorf("perseas: fetch metadata: %w", err)
+	}
+	rc.committed0, rc.undoSize, rc.storedNextID, rc.entries, err = readDirectory(rc.meta.Local)
+	if err != nil {
+		return err
+	}
+	if rc.q > 0 {
+		// Quorum mode: the commit words on the fetched copy may lag
+		// other mirrors, so snapshot the metadata from every reachable
+		// mirror and merge each slot's word by maximum later. The
+		// directory itself is always pushed fully acked, so the base
+		// copy is authoritative for everything but the words.
+		rc.metaCopies, err = l.fetchMetaCopies(rc.meta, rc.workers)
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// slotConnect reconnects every undo slot and settles its commit word.
+// Slot 0 always exists; further slots were allocated on demand by past
+// concurrency and are found by probing their names — the connected
+// prefix is the slot set, and at width 1 the probe stops at the first
+// missing name. Word settlement is serial at every width: it is a
+// handful of 8-byte writes and its meta.Local updates must not race.
+func (rc *recovery) slotConnect() error {
+	l := rc.l
+	names := make([]string, maxUndoSlots)
+	for k := range names {
+		names[k] = l.qualify(undoSlotName(k))
+	}
+	regions, cerr := l.net.ConnectMany(names, rc.workers)
+	if len(regions) == 0 {
+		return fmt.Errorf("perseas: reconnect undo log: %w", cerr)
+	}
+	for k, region := range regions {
+		if region.Size() != rc.undoSize {
+			return fmt.Errorf("perseas: undo slot %d size %d does not match metadata %d",
+				k, region.Size(), rc.undoSize)
+		}
+		word, holders, err := l.mergeSlotWord(rc.meta, k, rc.committed0, rc.q, rc.metaCopies, rc.decided)
+		if err != nil {
+			return err
+		}
+		rc.slots = append(rc.slots, recoveredSlot{region: region, committed: word, holders: holders})
+	}
+	return nil
+}
+
+// dbFetch reconnects every database record and copies it back. Each
+// image is fetched in read-chunk stripes spread round-robin across the
+// surviving mirrors, so at width the transfer rides their aggregate
+// bandwidth. Striping is safe mid-recovery: replicas can only disagree
+// on bytes of some slot's head transaction, and exactly those ranges
+// are rolled back or repaired after the fetch.
+func (rc *recovery) dbFetch() error {
+	l := rc.l
+	names := make([]string, len(rc.entries))
+	for i, e := range rc.entries {
+		names[i] = l.qualify(dbRegionPrefix + e.name)
+	}
+	regions, cerr := l.net.ConnectMany(names, rc.workers)
+	if cerr != nil {
+		return fmt.Errorf("perseas: reconnect database %q: %w", rc.entries[len(regions)].name, cerr)
+	}
+	for i, e := range rc.entries {
+		if regions[i].Size() != e.size {
+			return fmt.Errorf("perseas: database %q size %d does not match directory %d",
+				e.name, regions[i].Size(), e.size)
+		}
+	}
+	if err := netram.ForEach(rc.workers, len(regions), func(i int) error {
+		if err := l.net.FetchIntoStriped(regions[i], rc.workers); err != nil {
+			return fmt.Errorf("perseas: fetch database %q: %w", rc.entries[i].name, err)
+		}
+		return nil
+	}); err != nil {
+		return err
+	}
+	rc.dbs = make(map[string]*Database, len(rc.entries))
+	rc.byID = make(map[uint32]*Database, len(rc.entries))
+	for i, e := range rc.entries {
+		db := &Database{id: e.id, name: e.name, region: regions[i]}
+		rc.dbs[e.name] = db
+		rc.byID[e.id] = db
+		if e.id > rc.maxID {
+			rc.maxID = e.id
+		}
+	}
+	return nil
+}
+
+// slotScan scans each slot's remote undo log for its head transaction's
+// records. Slots hold disjoint ranges and each scan touches only its own
+// region, so the scans are independent; the aggregation runs in slot
+// order, keeping the repair lists and the id re-seed deterministic. The
+// largest id seen anywhere — commit words and log records — re-seeds
+// the transaction-id counter.
+func (rc *recovery) slotScan() error {
+	l := rc.l
+	ops := make([]*repairOp, len(rc.slots))
+	if err := netram.ForEach(rc.workers, len(rc.slots), func(k int) error {
+		rs := &rc.slots[k]
+		if rc.q > 0 {
+			var err error
+			ops[k], rs.prefix, err = l.planSlotRepair(k, *rs)
+			return err
+		}
+		recs, err := scanUndoLogLazy(rs.committed, rs.region.Size(), l.lazyFetcher(rs.region))
+		if len(recs) > 0 {
+			ops[k] = &repairOp{slot: k, recs: recs}
+		}
+		return err
+	}); err != nil {
+		return err
+	}
+	for k, rs := range rc.slots {
+		rc.committed = max(rc.committed, rs.committed)
+		rc.lastTxID = max(rc.lastTxID, rs.committed)
+		op := ops[k]
+		if op == nil {
+			continue
+		}
+		for _, rec := range op.recs {
+			rc.lastTxID = max(rc.lastTxID, rec.txID)
+		}
+		if rc.q > 0 {
+			rc.repairs = append(rc.repairs, *op)
+		} else {
+			rc.rollbacks = append(rc.rollbacks, *op)
+		}
+	}
+	return nil
+}
+
+// install points the library at the reconnected regions.
+func (rc *recovery) install() {
+	l := rc.l
+	l.metaSize = rc.meta.Size()
+	l.undoSize = rc.undoSize
+	l.metaMu.Lock()
+	l.meta = rc.meta
+	l.metaMu.Unlock()
+	l.slots = make([]*undoSlot, len(rc.slots))
+	for k, rs := range rc.slots {
+		l.slots[k] = &undoSlot{
+			idx:       k,
+			region:    rs.region,
+			wordOff:   slotWordOffset(rc.meta.Size(), k),
+			committed: rs.committed,
+		}
+	}
+	l.dbs = rc.dbs
+	l.byID = rc.byID
+	l.nextDBID = rc.maxID + 1
+	if rc.storedNextID > l.nextDBID {
+		// Ids of dropped databases stay retired so no stale undo record
+		// can ever alias a database created after this recovery.
+		l.nextDBID = rc.storedNextID
+	}
+	l.dirEnd = directoryEnd(rc.entries)
+}
+
+// rollback rolls back each all-ack slot's in-flight transaction: the
+// original data found in the remote undo log are copied back over the
+// illegal updates, locally and on the mirrors. Concurrent transactions
+// hold disjoint ranges, so the order across slots does not matter.
+func (rc *recovery) rollback() error {
+	return rc.repair(rc.rollbacks)
+}
+
+// quorumRepair settles the quorum slots' head transactions. Forward
+// repairs apply in commit order (descending holder count — see
+// repairOp); rollbacks apply last, because an in-flight claim is always
+// the newest writer of its bytes.
+func (rc *recovery) quorumRepair() error {
+	sort.SliceStable(rc.repairs, func(i, j int) bool {
+		a, b := rc.repairs[i], rc.repairs[j]
+		if a.forward != b.forward {
+			return a.forward
+		}
+		return a.forward && a.holders > b.holders
+	})
+	return rc.repair(rc.repairs)
+}
+
+// restore is one undo record's repair of the local image: image holds
+// the record's before-image for a rollback, or the winner mirror's
+// current bytes of the range for a forward repair.
+type restore struct {
+	db     *Database
+	rec    undoRecord
+	winner int
+	image  []byte
+}
+
+// repair applies ops in order, each newest record first, against the
+// local images and then publishes the result. Everything is staged
+// before any mirror is written: writes begin only after every winner's
+// bytes were fetched, so one slot's repair can never clobber bytes
+// another slot still needs to read (the mirrors are untouched until
+// the publish, so fetching the winners concurrently reads the same
+// bytes). Ranges within a transaction may overlap, so the publish ships
+// each database's final local bytes as one batch joined on every
+// mirror — the bytes per-record pushes would have converged on.
+func (rc *recovery) repair(ops []repairOp) error {
+	l := rc.l
+	var steps []restore
+	var fetches []int
+	for _, op := range ops {
+		for i := len(op.recs) - 1; i >= 0; i-- {
+			rec := op.recs[i]
+			db, ok := rc.byID[rec.dbID]
+			if !ok {
+				// The record references a database dropped after the
+				// transaction aborted; there is nothing left to restore.
+				continue
+			}
+			if rec.offset > db.Size() || rec.length > db.Size()-rec.offset {
+				return fmt.Errorf("perseas: undo record outside database %q", db.name)
+			}
+			if op.forward {
+				fetches = append(fetches, len(steps))
+				steps = append(steps, restore{db: db, rec: rec, winner: op.winner})
+			} else {
+				steps = append(steps, restore{db: db, rec: rec, image: rec.data})
+			}
+		}
+	}
+	if err := netram.ForEach(rc.workers, len(fetches), func(n int) error {
+		st := &steps[fetches[n]]
+		data, err := l.net.FetchMirror(st.winner, st.db.region, st.rec.offset, st.rec.length)
+		if err != nil {
+			return fmt.Errorf("perseas: re-fetch committed range of %q: %w", st.db.name, err)
+		}
+		st.image = append([]byte(nil), data...)
+		return nil
+	}); err != nil {
+		return err
+	}
+	var order []*Database
+	ranges := make(map[*Database][]netram.Range)
+	for _, st := range steps {
+		off, n := st.rec.offset, st.rec.length
+		l.mem.Copy(l.clock, st.db.region.Local[off:off+n], st.image)
+		if _, ok := ranges[st.db]; !ok {
+			order = append(order, st.db)
+		}
+		ranges[st.db] = append(ranges[st.db], netram.Range{Offset: off, Length: n})
+	}
+	return netram.ForEach(rc.workers, len(order), func(i int) error {
+		db := order[i]
+		if err := l.net.PushManyAckedTraced(db.region, ranges[db], nil); err != nil {
+			return fmt.Errorf("perseas: repair mirror of %q: %w", db.name, err)
+		}
+		return nil
+	})
+}
+
+// undoRepublish: quorum recovery adopted each slot's winning undo log
+// as the local image; republish it so every mirror's copy — including
+// one that missed straggler writes entirely — is byte-identical before
+// the region set is readable. Only the materialised prefix ships as
+// payload; the tail beyond the winner's records must be zeros
+// everywhere (a future scan treats zeros as log end, and stale
+// divergent tails must not survive into the next crash's winner
+// election), so it is cleared remotely without shipping a payload of
+// zeroes.
+func (rc *recovery) undoRepublish() error {
+	l := rc.l
+	return netram.ForEach(rc.workers, len(rc.slots), func(k int) error {
+		rs := rc.slots[k]
+		if rs.prefix > 0 {
+			if err := l.net.PushAcked(rs.region, 0, rs.prefix); err != nil {
+				return fmt.Errorf("perseas: republish undo log: %w", err)
+			}
+		}
+		if rs.prefix < rs.region.Size() {
+			if err := l.net.ZeroRangeAcked(rs.region, rs.prefix, rs.region.Size()-rs.prefix); err != nil {
+				return fmt.Errorf("perseas: republish undo log: %w", err)
+			}
+		}
+		return nil
+	})
 }
 
 // Attach builds a Library on a node that did not create the database —

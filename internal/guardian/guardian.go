@@ -302,8 +302,8 @@ func (g *Guardian) RegisterMetrics(reg *obs.Registry) {
 	reg.RegisterHistogram("perseas_guardian_rebuild_duration_us", "rebuild start to restored", &m.RebuildDuration)
 }
 
-// RebuildPipeline reports the client's rebuild bulk-copy read-ahead
-// depth (1 = the sequential historical copy loop).
+// RebuildPipeline reports the depth of the client's rebuild chunk loop
+// (1 = inline, strictly read-then-write).
 func (g *Guardian) RebuildPipeline() int { return g.client.RebuildPipeline() }
 
 // SparesLeft reports how many standby nodes remain in the pool.
@@ -435,14 +435,16 @@ func (g *Guardian) pass(now time.Duration) {
 			s.lastBeat = now
 			s.misses = 0
 			s.lastErr = nil
-			switch s.state {
-			case Dead:
-				// The node answers again: a healed partition or a
-				// restarted process. Reintegrate it in place.
+			if s.state == Dead || g.client.MirrorDown(i) {
+				// The node answers but is off the data path: a healed
+				// partition, a restarted process, or a mirror the client
+				// itself degraded (for lag, or a failed write) that no
+				// probe ever missed. Reintegrate it in place.
 				g.mu.Unlock()
 				g.revive(i, now)
 				continue
-			case Suspect, Restored:
+			}
+			if s.state == Suspect || s.state == Restored {
 				ev = g.transitionLocked(i, Healthy, nil, now)
 			}
 			g.mu.Unlock()

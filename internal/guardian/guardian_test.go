@@ -279,6 +279,58 @@ func TestGuardianRevivesHealedPartition(t *testing.T) {
 	}
 }
 
+// TestGuardianRevivesClientDegradedMirror: a mirror the client took off
+// the data path itself (lag overflow, a failed write) never misses a
+// probe, so no Suspect/Dead walk ever starts for it. The first pass that
+// finds it answering but down revives it in place.
+func TestGuardianRevivesClientDegradedMirror(t *testing.T) {
+	clock := simclock.NewSim()
+	r := newRig(t, 3, 0, clock)
+	reg, err := r.net.Malloc("db", 8192)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := New(r.net, clock, Config{Interval: time.Second, Misses: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tick(t, g, clock, time.Second)
+
+	// The client degrades healthy mirror C, then keeps committing on the
+	// other two: C now lags and nothing but a revive can resync it.
+	if err := r.net.MarkMirrorDown(2); err != nil {
+		t.Fatal(err)
+	}
+	copy(reg.Local[100:], []byte("written while C was off the data path"))
+	if err := r.net.Push(reg, 100, 64); err != nil {
+		t.Fatal(err)
+	}
+	if r.net.Live() != 2 {
+		t.Fatalf("live = %d, want 2", r.net.Live())
+	}
+
+	tick(t, g, clock, time.Second)
+	if st := g.Status()[2]; st.State != Restored || st.LastError != nil {
+		t.Fatalf("slot 2 one pass after the client degraded it: %+v", st)
+	}
+	if got := g.Metrics().Revives.Load(); got != 1 {
+		t.Fatalf("revives = %d, want 1", got)
+	}
+	if got := g.Metrics().Deaths.Load(); got != 0 {
+		t.Fatalf("deaths = %d, want 0: the mirror never missed a probe", got)
+	}
+	if r.net.Live() != 3 {
+		t.Fatalf("live after revive = %d, want 3", r.net.Live())
+	}
+	if mm, err := r.net.VerifyAll(); err != nil || len(mm) != 0 {
+		t.Fatalf("verify after revive: %v %v", mm, err)
+	}
+	tick(t, g, clock, time.Second)
+	if st := g.Status()[2]; st.State != Healthy {
+		t.Fatalf("slot 2 on the next good probe: %v", st.State)
+	}
+}
+
 // TestGuardianRebuildFailureReturnsSpare: a rebuild that cannot finish
 // puts the spare back at the head of the pool and leaves the slot Dead
 // for the next pass to retry.

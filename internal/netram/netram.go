@@ -173,11 +173,11 @@ type Client struct {
 	dirtyMu  sync.Mutex
 	dirty    map[string][]Range
 
-	// rebuildPipeline is the read-ahead depth of RebuildMirror's bulk
-	// copy: 1 (the default) runs the exact historical read-then-write
-	// loop from the first survivor; n >= 2 keeps up to n chunk reads in
-	// flight, striped round-robin across the surviving replicas, while
-	// chunks write to the replacement.
+	// rebuildPipeline is the depth of RebuildMirror's chunk loop: at 1
+	// (the default) it runs on the caller's goroutine, strictly
+	// read-then-write from the first survivor; n >= 2 keeps up to n
+	// chunks in flight, their reads striped round-robin across the
+	// surviving replicas.
 	rebuildPipeline int
 
 	// Fan-out state (fanout.go): one long-lived sender goroutine per
@@ -242,11 +242,11 @@ func WithReadChunk(n uint64) Option {
 	}
 }
 
-// WithRebuildPipeline sets the rebuild bulk copy's read-ahead depth: up
-// to n chunk reads stay in flight, striped round-robin across the
-// surviving replicas, while completed chunks write to the replacement.
-// 1 (and any n below it) keeps the historical strictly sequential
-// read-then-write loop from the first survivor.
+// WithRebuildPipeline sets the depth of the rebuild's chunk loop: up to
+// n chunks are in flight, their reads striped round-robin across the
+// surviving replicas while completed chunks write to the replacement.
+// At 1 (and any n below it) the same loop runs inline, strictly
+// read-then-write from the first survivor.
 func WithRebuildPipeline(n int) Option {
 	return func(c *Client) {
 		if n > 1 {
@@ -498,7 +498,7 @@ func (c *Client) RegisterMetricsPrefixed(reg *obs.Registry, prefix string) {
 	})
 	reg.RegisterHistogram(prefix+"_push_ack_depth", "mirror acks collected when a push returned", &m.AckDepth)
 	reg.RegisterCounter(prefix+"_catchup_overflows_total", "writes dropped on a lagging mirror's full catch-up queue", &m.CatchUpOverflows)
-	reg.RegisterGauge(prefix+"_rebuild_pipeline_depth", "rebuild bulk-copy read-ahead depth (1 = sequential)", func() uint64 {
+	reg.RegisterGauge(prefix+"_rebuild_pipeline_depth", "rebuild chunk-loop depth (1 = inline)", func() uint64 {
 		return uint64(c.RebuildPipeline())
 	})
 	for i := range m.MirrorPush {

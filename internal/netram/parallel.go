@@ -20,12 +20,14 @@ import (
 	"github.com/ics-forth/perseas/internal/transport"
 )
 
-// forEach calls fn(i) for every i in [0,n) on up to width goroutines,
+// ForEach calls fn(i) for every i in [0,n) on up to width goroutines,
 // handing indices out in increasing order, and returns the error of the
 // lowest index that failed. No index is started after a failure, so
 // every index below the failing one has run. At width <= 1 (or n <= 1)
-// it is a plain loop on the caller's goroutine.
-func forEach(width, n int, fn func(i int) error) error {
+// it is a plain loop on the caller's goroutine. It is the one worker
+// pool of crash repair: core's recovery phases, the striped fetch and
+// the rebuild copy all take their width as its first argument.
+func ForEach(width, n int, fn func(i int) error) error {
 	if width > n {
 		width = n
 	}
@@ -81,7 +83,7 @@ func (c *Client) ConnectMany(names []string, workers int) ([]*Region, error) {
 	c.topoMu.Lock()
 	defer c.topoMu.Unlock()
 	regs := make([]*Region, len(names))
-	stop := forEach(workers, len(names), func(i int) (err error) {
+	stop := ForEach(workers, len(names), func(i int) (err error) {
 		regs[i], err = c.connectRegion(names[i])
 		return err
 	})
@@ -127,7 +129,7 @@ func (c *Client) FetchIntoStriped(r *Region, workers int) error {
 	}
 	size := r.Size()
 	nChunks := int((size + c.readChunk - 1) / c.readChunk)
-	err := forEach(workers, nChunks, func(ci int) error {
+	err := ForEach(workers, nChunks, func(ci int) error {
 		off := uint64(ci) * c.readChunk
 		return c.fetchChunkStriped(r, eligible, ci, off, min(size-off, c.readChunk))
 	})

@@ -14,11 +14,11 @@
 package netram
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"github.com/ics-forth/perseas/internal/flight"
 	"github.com/ics-forth/perseas/internal/trace"
@@ -338,145 +338,71 @@ func (c *Client) regionByName(name string, locked bool) *Region {
 	return nil
 }
 
+// errRegionGone stops a rebuild copy whose region was freed mid-copy.
+var errRegionGone = errors.New("netram: region freed during rebuild")
+
 // rebuildCopy copies [off,off+n) of r from surviving replicas onto the
-// replacement segment h, in chunks of at most readChunk bytes. With
-// locked false each chunk takes the topology read lock only for its
-// survivor read, so a multi-gigabyte copy never blocks a push for more
-// than one chunk. At pipeline depth 1 (the default) chunks move in a
-// strictly sequential read-then-write loop from the first survivor; at
-// depth n >= 2 up to n chunk reads stay in flight, striped round-robin
-// across the survivors, while completed chunks write to the
-// replacement — the read of chunk N+1 overlaps the write of chunk N.
-// gone=true reports the region was freed mid-copy.
+// replacement segment h: one loop over chunks of at most readChunk
+// bytes, run at the rebuild pipeline depth. With locked false each
+// chunk takes the topology read lock only for its survivor read, so a
+// multi-gigabyte copy never blocks a push for more than one chunk. At
+// depth 1 (the default) the loop runs on the caller's goroutine,
+// strictly read-then-write from the first survivor; at depth n >= 2 up
+// to n chunks are in flight, their reads striped round-robin across the
+// survivors, so the read of chunk N+1 overlaps the write of chunk N.
+// Chunks are disjoint, so completion order does not matter; a failed or
+// gone chunk stops the loop. gone=true reports the region was freed
+// mid-copy.
 func (c *Client) rebuildCopy(m Mirror, h transport.SegmentHandle, r *Region, off, n uint64, skip int, locked bool, copied *uint64, epoch int, onProgress func(RebuildProgress)) (bool, error) {
 	nChunks := int((n + c.readChunk - 1) / c.readChunk)
-	if c.rebuildPipeline > 1 && nChunks > 1 {
-		return c.rebuildCopyPipelined(m, h, r, off, n, nChunks, skip, locked, copied, epoch, onProgress)
-	}
-	for done := uint64(0); done < n; {
-		step := n - done
-		if step > c.readChunk {
-			step = c.readChunk
+	// progress orders the copied total and the observer calls; the
+	// observer sees one chunk at a time at every depth.
+	var progress sync.Mutex
+	err := ForEach(c.rebuildPipeline, nChunks, func(ci int) error {
+		chunkOff := off + uint64(ci)*c.readChunk
+		step := min(off+n-chunkOff, c.readChunk)
+		rot := 0
+		if c.rebuildPipeline > 1 {
+			rot = ci
 		}
-		read := func() ([]byte, bool, error) {
-			if !locked {
-				c.topoMu.RLock()
-				defer c.topoMu.RUnlock()
-			}
-			return c.survivorReadLocked(r, skip, off+done, step, 0)
+		if !locked {
+			c.topoMu.RLock()
 		}
-		data, gone, err := read()
+		data, gone, err := c.survivorReadLocked(r, skip, chunkOff, step, rot)
+		if !locked {
+			c.topoMu.RUnlock()
+		}
 		if err != nil {
-			return false, err
+			return err
 		}
 		if gone {
-			return true, nil
+			return errRegionGone
 		}
-		if err := m.T.Write(h.ID, off+done, data); err != nil {
-			return false, fmt.Errorf("netram: rebuild write %q to %s: %w", r.Name, m.Name, err)
+		if err := m.T.Write(h.ID, chunkOff, data); err != nil {
+			return fmt.Errorf("netram: rebuild write %q to %s: %w", r.Name, m.Name, err)
 		}
-		done += step
-		*copied += step
 		c.metrics.RebuildBytes.Add(step)
+		progress.Lock()
+		defer progress.Unlock()
+		*copied += step
 		if onProgress != nil {
 			onProgress(RebuildProgress{Region: r.Name, CopiedBytes: *copied, Epoch: epoch})
 		}
+		return nil
+	})
+	if errors.Is(err, errRegionGone) {
+		return true, nil
 	}
-	return false, nil
-}
-
-// rebuildChunk is one chunk moving through the pipelined rebuild copy.
-type rebuildChunk struct {
-	off  uint64
-	data []byte
-	gone bool
-	err  error
-}
-
-// rebuildCopyPipelined is rebuildCopy's read-ahead path: pipeline-depth
-// reader goroutines pull chunk indices, read each chunk from its
-// round-robin survivor (taking the topology read lock per chunk exactly
-// like the sequential path, so the dirty-epoch discipline is
-// unchanged), and the caller's goroutine writes completed chunks to the
-// replacement. Chunks are disjoint, so completion order does not
-// matter; a failed or gone chunk stops the readers at their next pull.
-func (c *Client) rebuildCopyPipelined(m Mirror, h transport.SegmentHandle, r *Region, off, n uint64, nChunks, skip int, locked bool, copied *uint64, epoch int, onProgress func(RebuildProgress)) (bool, error) {
-	depth := c.rebuildPipeline
-	if depth > nChunks {
-		depth = nChunks
-	}
-	var next atomic.Int64
-	var stop atomic.Bool
-	results := make(chan rebuildChunk, depth)
-	var wg sync.WaitGroup
-	for w := 0; w < depth; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				ci := int(next.Add(1)) - 1
-				if ci >= nChunks || stop.Load() {
-					return
-				}
-				chunkOff := off + uint64(ci)*c.readChunk
-				step := off + n - chunkOff
-				if step > c.readChunk {
-					step = c.readChunk
-				}
-				read := func() ([]byte, bool, error) {
-					if !locked {
-						c.topoMu.RLock()
-						defer c.topoMu.RUnlock()
-					}
-					return c.survivorReadLocked(r, skip, chunkOff, step, ci)
-				}
-				data, gone, err := read()
-				results <- rebuildChunk{off: chunkOff, data: data, gone: gone, err: err}
-				if gone || err != nil {
-					return
-				}
-			}
-		}()
-	}
-	go func() { wg.Wait(); close(results) }()
-
-	var firstErr error
-	gone := false
-	for ch := range results {
-		if firstErr != nil || gone {
-			continue // draining after failure
-		}
-		switch {
-		case ch.err != nil:
-			firstErr = ch.err
-			stop.Store(true)
-		case ch.gone:
-			gone = true
-			stop.Store(true)
-		default:
-			if err := m.T.Write(h.ID, ch.off, ch.data); err != nil {
-				firstErr = fmt.Errorf("netram: rebuild write %q to %s: %w", r.Name, m.Name, err)
-				stop.Store(true)
-				continue
-			}
-			step := uint64(len(ch.data))
-			*copied += step
-			c.metrics.RebuildBytes.Add(step)
-			if onProgress != nil {
-				onProgress(RebuildProgress{Region: r.Name, CopiedBytes: *copied, Epoch: epoch})
-			}
-		}
-	}
-	return gone, firstErr
+	return false, err
 }
 
 // survivorReadLocked reads [off,off+n) of r from a live replica other
 // than the slot being rebuilt, with the topology lock held by the
-// caller. rot rotates the starting replica among the survivors — the
-// pipelined copy passes the chunk index so consecutive chunks read
+// caller. rot rotates the starting replica among the survivors — a
+// copy deeper than 1 passes the chunk index so consecutive chunks read
 // from different nodes — and the remaining survivors serve as
-// fallbacks in order; rot 0 reproduces the historical first-survivor
-// choice. gone=true reports the region is no longer live.
+// fallbacks in order; rot 0 is the first survivor. gone=true reports
+// the region is no longer live.
 func (c *Client) survivorReadLocked(r *Region, skip int, off, n uint64, rot int) ([]byte, bool, error) {
 	alive := false
 	for _, reg := range c.regions {
@@ -517,13 +443,8 @@ func (c *Client) survivorReadLocked(r *Region, skip int, off, n uint64, rot int)
 	return nil, false, fmt.Errorf("netram: rebuild source for %q: %w", r.Name, lastErr)
 }
 
-// RebuildPipeline reports the configured bulk-copy read-ahead depth.
-func (c *Client) RebuildPipeline() int {
-	if c.rebuildPipeline > 1 {
-		return c.rebuildPipeline
-	}
-	return 1
-}
+// RebuildPipeline reports the configured depth of the rebuild chunk loop.
+func (c *Client) RebuildPipeline() int { return c.rebuildPipeline }
 
 // RebuildSourceBytes reports how many bytes each mirror slot has served
 // as the read side of rebuild copies — with striped reads the evidence

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/ics-forth/perseas/internal/memserver"
@@ -24,8 +25,48 @@ func spareMirror(t *testing.T, r *rig, label string) (Mirror, *memserver.Server)
 	return Mirror{Name: label, T: tr}, srv
 }
 
+// eachRebuildDepth runs body once per rebuild pipeline depth, with a
+// read chunk small enough that every region copy is several chunks and,
+// at depth >= 2, several of them are in flight at once.
+func eachRebuildDepth(t *testing.T, body func(t *testing.T, depth int, opts []Option)) {
+	for _, depth := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("depth=%d", depth), func(t *testing.T) {
+			body(t, depth, []Option{WithReadChunk(1024), WithRebuildPipeline(depth)})
+		})
+	}
+}
+
+// checkRebuildSources pins where a rebuild of slot dead read from: depth
+// 1 is strict read-then-write from the first survivor alone, depth >= 2
+// stripes the chunk reads across every survivor.
+func checkRebuildSources(t *testing.T, c *Client, depth, dead int) {
+	t.Helper()
+	first := true
+	for i, b := range c.RebuildSourceBytes() {
+		switch {
+		case i == dead:
+			if b != 0 {
+				t.Errorf("the slot being rebuilt served %d source bytes", b)
+			}
+		case first:
+			first = false
+			if b == 0 {
+				t.Errorf("first survivor (slot %d) served no source bytes", i)
+			}
+		case depth == 1 && b != 0:
+			t.Errorf("depth 1 read %d bytes from slot %d, want the first survivor only", b, i)
+		case depth > 1 && b == 0:
+			t.Errorf("depth %d never read from survivor slot %d", depth, i)
+		}
+	}
+}
+
 func TestRebuildMirrorBasic(t *testing.T) {
-	r := newRig(t, 2)
+	eachRebuildDepth(t, testRebuildMirrorBasic)
+}
+
+func testRebuildMirrorBasic(t *testing.T, depth int, opts []Option) {
+	r := newRig(t, 3, opts...)
 	reg, err := r.client.Malloc("db", 8192)
 	if err != nil {
 		t.Fatal(err)
@@ -43,8 +84,8 @@ func TestRebuildMirrorBasic(t *testing.T) {
 	if err := r.client.MarkMirrorDown(1); err != nil {
 		t.Fatal(err)
 	}
-	if r.client.Live() != 1 {
-		t.Fatalf("live = %d, want 1", r.client.Live())
+	if r.client.Live() != 2 {
+		t.Fatalf("live = %d, want 2", r.client.Live())
 	}
 
 	spare, spareSrv := spareMirror(t, r, "spare0")
@@ -52,8 +93,8 @@ func TestRebuildMirrorBasic(t *testing.T) {
 	if err := r.client.RebuildMirror(1, spare, func(p RebuildProgress) { last = p }); err != nil {
 		t.Fatal(err)
 	}
-	if r.client.Live() != 2 {
-		t.Fatalf("live after rebuild = %d, want 2", r.client.Live())
+	if r.client.Live() != 3 {
+		t.Fatalf("live after rebuild = %d, want 3", r.client.Live())
 	}
 	if got := r.client.MirrorName(1); got != "spare0" {
 		t.Fatalf("slot 1 is %q, want spare0", got)
@@ -64,6 +105,7 @@ func TestRebuildMirrorBasic(t *testing.T) {
 	if got := r.client.Metrics().Rebuilds.Load(); got != 1 {
 		t.Fatalf("rebuilds counter = %d, want 1", got)
 	}
+	checkRebuildSources(t, r.client, depth, 1)
 
 	// The spare holds the bytes, and subsequent pushes reach it.
 	if mm, err := r.client.VerifyAll(); err != nil || len(mm) != 0 {
@@ -80,7 +122,11 @@ func TestRebuildMirrorBasic(t *testing.T) {
 }
 
 func TestRebuildCatchesConcurrentPushes(t *testing.T) {
-	r := newRig(t, 3)
+	eachRebuildDepth(t, testRebuildCatchesConcurrentPushes)
+}
+
+func testRebuildCatchesConcurrentPushes(t *testing.T, depth int, opts []Option) {
+	r := newRig(t, 3, opts...)
 	reg, err := r.client.Malloc("hot", 1<<16)
 	if err != nil {
 		t.Fatal(err)
@@ -130,6 +176,7 @@ func TestRebuildCatchesConcurrentPushes(t *testing.T) {
 	if mm, verr := r.client.VerifyAll(); verr != nil || len(mm) != 0 {
 		t.Fatalf("verify after concurrent rebuild: %v %v", mm, verr)
 	}
+	checkRebuildSources(t, r.client, depth, 2)
 }
 
 func TestRebuildBlocksTopologyChanges(t *testing.T) {
@@ -173,7 +220,11 @@ func TestRebuildBlocksTopologyChanges(t *testing.T) {
 }
 
 func TestRebuildCoversRegionsBornAndFreedMidCopy(t *testing.T) {
-	r := newRig(t, 2)
+	eachRebuildDepth(t, testRebuildCoversRegionsBornAndFreedMidCopy)
+}
+
+func testRebuildCoversRegionsBornAndFreedMidCopy(t *testing.T, depth int, opts []Option) {
+	r := newRig(t, 3, opts...)
 	keep, err := r.client.Malloc("keep", 16384)
 	if err != nil {
 		t.Fatal(err)
@@ -238,6 +289,7 @@ func TestRebuildCoversRegionsBornAndFreedMidCopy(t *testing.T) {
 	if !names["keep"] || !names["born"] || names["doomed"] {
 		t.Fatalf("spare segments after rebuild: %v", names)
 	}
+	checkRebuildSources(t, r.client, depth, 1)
 	got, err := spareSrv.Read(born.Handle(1).ID, 0, 16)
 	if err != nil || !bytes.Equal(got, bytes.Repeat([]byte{0xCD}, 16)) {
 		t.Fatalf("born region on spare: %q %v", got, err)
@@ -245,7 +297,11 @@ func TestRebuildCoversRegionsBornAndFreedMidCopy(t *testing.T) {
 }
 
 func TestRebuildFailureLeavesClientDegradedButUsable(t *testing.T) {
-	r := newRig(t, 2)
+	eachRebuildDepth(t, testRebuildFailureLeavesClientDegradedButUsable)
+}
+
+func testRebuildFailureLeavesClientDegradedButUsable(t *testing.T, depth int, opts []Option) {
+	r := newRig(t, 3, opts...)
 	reg, err := r.client.Malloc("db", 4096)
 	if err != nil {
 		t.Fatal(err)
@@ -266,6 +322,20 @@ func TestRebuildFailureLeavesClientDegradedButUsable(t *testing.T) {
 		t.Fatal("failed rebuild left the slot claimed")
 	}
 
+	// A spare that refuses writes from the third chunk on: the chunk loop
+	// stops at every depth and the half-filled segment is released.
+	midSpare, midSrv := spareMirror(t, r, "midSpare")
+	midSpare.T = &refusing{Transport: midSpare.T, accept: 2}
+	if err := r.client.RebuildMirror(1, midSpare, nil); err == nil {
+		t.Fatal("rebuild onto a spare that refuses writes succeeded")
+	}
+	if _, active := r.client.Rebuilding(); active {
+		t.Fatal("failed rebuild left the slot claimed")
+	}
+	if segs := midSrv.List(); len(segs) != 0 {
+		t.Fatalf("failed rebuild left %d segments on the spare", len(segs))
+	}
+
 	// Pushes still work degraded, and a later rebuild with a live spare
 	// succeeds.
 	copy(reg.Local, []byte("still here"))
@@ -279,6 +349,22 @@ func TestRebuildFailureLeavesClientDegradedButUsable(t *testing.T) {
 	if mm, verr := r.client.VerifyAll(); verr != nil || len(mm) != 0 {
 		t.Fatalf("verify: %v %v", mm, verr)
 	}
+}
+
+// refusing wraps a transport and fails every write after the first
+// accept while staying pingable. Safe for the concurrent chunk writes of
+// a deep rebuild.
+type refusing struct {
+	transport.Transport
+	accept int64
+	writes atomic.Int64
+}
+
+func (f *refusing) Write(seg uint32, offset uint64, data []byte) error {
+	if f.writes.Add(1) > f.accept {
+		return errors.New("refusing: write refused")
+	}
+	return f.Transport.Write(seg, offset, data)
 }
 
 func TestProbeMirrorChargesNoVirtualTime(t *testing.T) {

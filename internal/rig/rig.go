@@ -91,15 +91,15 @@ type Config struct {
 	// up asynchronously. Zero keeps the historical all-ack join, so
 	// every reproduced figure is untouched.
 	Quorum int
-	// RecoveryParallelism, when > 1, lets PERSEAS crash recovery use
-	// that many workers per phase (core.WithRecoveryParallelism). 0 and
-	// 1 keep the paper's serial recovery loop, so reproduced recovery
-	// figures are untouched.
+	// RecoveryParallelism, when > 1, is the width of PERSEAS crash
+	// recovery's phase pipeline (core.WithRecoveryParallelism). 0 and 1
+	// run the same pipeline inline; the modelled recovery figures are
+	// the same at every width.
 	RecoveryParallelism int
-	// RebuildPipeline, when > 1, double-buffers the guardian rebuild's
-	// bulk copy at that read-ahead depth and stripes its reads across
-	// the surviving mirrors (netram.WithRebuildPipeline). 0 and 1 keep
-	// the sequential copy loop.
+	// RebuildPipeline, when > 1, keeps that many chunks of the guardian
+	// rebuild's copy in flight and stripes their reads across the
+	// surviving mirrors (netram.WithRebuildPipeline). 0 and 1 run the
+	// same chunk loop inline.
 	RebuildPipeline int
 }
 
