@@ -29,19 +29,32 @@ func newConflictTable() conflictTable {
 	return conflictTable{byDB: make(map[uint32][]rangeClaim)}
 }
 
-// claim records [off,off+n) of database dbID as held by tx, or returns
-// engine.ErrConflict when another live transaction already holds an
-// overlapping range.
-func (c *conflictTable) claim(dbID uint32, off, n, tx uint64) error {
-	hi := off + n
+// claim records a range of database dbID as held by tx and returns the
+// span it recorded. [off,off+n) is the range the transaction declared;
+// [lo,hi) ⊇ it is the span the network layer would put on the wire for
+// it (netram.WireSpan). The transaction gets the wire span when no other
+// live transaction holds a byte of it — the commit push may then read
+// every byte of the span, because nobody else can be writing them — and
+// the declared range alone otherwise. engine.ErrConflict is returned
+// only when the declared range itself overlaps another transaction's
+// claim. Check and claim are one step under the caller's lock, so a
+// neighbour cannot slip into the span between them.
+func (c *conflictTable) claim(dbID uint32, off, n, lo, hi, tx uint64) (uint64, uint64, error) {
+	end := off + n
 	for _, cl := range c.byDB[dbID] {
-		if cl.tx != tx && cl.lo < hi && off < cl.hi {
-			return fmt.Errorf("%w: db %d range [%d,+%d) held by tx %d",
+		if cl.tx == tx || cl.lo >= hi || lo >= cl.hi {
+			continue
+		}
+		if cl.lo < end && off < cl.hi {
+			return 0, 0, fmt.Errorf("%w: db %d range [%d,+%d) held by tx %d",
 				engine.ErrConflict, dbID, off, n, cl.tx)
 		}
+		// A neighbour holds part of the widening only: keep to the
+		// declared range, which the rest of the scan still has to clear.
+		lo, hi = off, end
 	}
-	c.byDB[dbID] = append(c.byDB[dbID], rangeClaim{lo: off, hi: hi, tx: tx})
-	return nil
+	c.byDB[dbID] = append(c.byDB[dbID], rangeClaim{lo: lo, hi: hi, tx: tx})
+	return lo, hi, nil
 }
 
 // overlaps reports whether any live claim on dbID intersects

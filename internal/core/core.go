@@ -137,7 +137,8 @@ func (d *Database) Bytes() []byte { return d.region.Local }
 // layer directly; applications should not use it.
 func (d *Database) Region() *netram.Region { return d.region }
 
-// pending is one range declared by SetRange, remembered until commit.
+// pending is the span SetRange claimed for one declared range — the
+// bytes the commit push ships, exactly — remembered until commit.
 type pending struct {
 	db     *Database
 	offset uint64

@@ -98,7 +98,8 @@ func (l *Library) ClaimDB(db engine.DB) error {
 	if err != nil {
 		return err
 	}
-	return l.locks.claim(d.id, 0, d.Size(), migrationTxID)
+	_, _, err = l.locks.claim(d.id, 0, d.Size(), 0, d.Size(), migrationTxID)
+	return err
 }
 
 // ReleaseDBClaim drops the whole-database claim ClaimDB took.

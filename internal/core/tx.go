@@ -166,7 +166,12 @@ func (t *Tx) SetRange(db engine.DB, offset, length uint64) error {
 		return fmt.Errorf("%w: need %d bytes, %d free",
 			ErrUndoLogFull, need, t.slot.region.Size()-t.cursor)
 	}
-	if err := l.locks.claim(d.id, offset, length, t.id); err != nil {
+	// The claim covers the span the commit push will put on the wire, not
+	// just the declared range, whenever no other transaction holds a byte
+	// of the widening: a push may ship only bytes its transaction holds.
+	wlo, whi := l.net.WireSpan(d.region, offset, length)
+	wlo, whi, err = l.locks.claim(d.id, offset, length, wlo, whi, t.id)
+	if err != nil {
 		l.stats.Conflicts++
 		l.mu.Unlock()
 		t.tt.Event(trace.LayerEngine, "conflict", uint64(d.id))
@@ -197,7 +202,7 @@ func (t *Tx) SetRange(db engine.DB, offset, length uint64) error {
 	// Advancing regardless of the push outcome keeps the log
 	// append-only everywhere and lets Abort unwind the claim normally.
 	t.cursor += advance
-	t.ranges = append(t.ranges, pending{db: d, offset: offset, length: length})
+	t.ranges = append(t.ranges, pending{db: d, offset: wlo, length: whi - wlo})
 
 	// Step 2: the log record propagates to the remote undo log. On
 	// failure the claim stays held until the caller aborts, which
@@ -395,11 +400,7 @@ func (t *Tx) pushRanges(parent trace.SpanRef, merged []pending, allAck bool) err
 		// reached even one mirror must be re-pushed by Abort or that
 		// mirror's database silently diverges from local.
 		t.pushed = append(t.pushed, merged[i:j]...)
-		push := l.net.PushManyTraced
-		if allAck {
-			push = l.net.PushManyAckedTraced
-		}
-		if err := push(db.region, scratch, t.tt); err != nil {
+		if err := l.net.PushSpansTraced(db.region, scratch, t.tt, allAck); err != nil {
 			rp.End()
 			parent.End()
 			return fmt.Errorf("perseas: push database ranges: %w", err)
@@ -527,7 +528,8 @@ func (t *Tx) Abort() error {
 	// includes groups whose PushMany failed partway — a range that
 	// reached even one mirror needs its restored content re-pushed.
 	for _, r := range t.pushed {
-		if err := l.net.PushTraced(r.db.region, r.offset, r.length, t.tt); err != nil {
+		t.scratch = append(t.scratch[:0], netram.Range{Offset: r.offset, Length: r.length})
+		if err := l.net.PushSpansTraced(r.db.region, t.scratch, t.tt, false); err != nil {
 			ab.End()
 			return fmt.Errorf("perseas: repair mirror after failed commit: %w", err)
 		}

@@ -622,9 +622,11 @@ func (c *Client) Free(r *Region) error {
 
 // Push propagates r.Local[offset:offset+n] to every mirror — the paper's
 // remote memory copy. Copies of alignThreshold bytes or more are expanded
-// to whole 64-byte aligned regions (clamped to the region bounds), which
-// is safe because the bytes around a modified range are identical in the
-// local buffer and its mirrors.
+// to whole 64-byte aligned regions (clamped to the region bounds; see
+// WireSpan). The widened bytes are read from r.Local like the range's
+// own, so they must not have a concurrent writer: callers that share a
+// region between writers claim the span first and push it with
+// PushSpansTraced.
 func (c *Client) Push(r *Region, offset, n uint64) error {
 	return c.pushOpts(r, offset, n, nil, false)
 }
@@ -656,10 +658,7 @@ func (c *Client) pushOpts(r *Region, offset, n uint64, tt *trace.TxTrace, allAck
 	c.topoMu.RLock()
 	defer c.topoMu.RUnlock()
 	start := c.clock.Now()
-	lo, hi := offset, offset+n
-	if !c.alignDisabled && n >= uint64(c.alignThreshold) {
-		lo, hi = expandEdges(lo, hi, r.Size())
-	}
+	lo, hi := c.WireSpan(r, offset, n)
 	call := c.getCall()
 	// releaseCall (via the last reference) records the wire range in the
 	// rebuild's dirty set after the mirror writes land — including error
@@ -737,7 +736,7 @@ func (c *Client) PushMany(r *Region, ranges []Range) error {
 // PushManyTraced is PushMany recording one netram span per mirror
 // exchange into the transaction's trace (tt may be nil).
 func (c *Client) PushManyTraced(r *Region, ranges []Range, tt *trace.TxTrace) error {
-	return c.pushManyOpts(r, ranges, tt, false)
+	return c.pushManyOpts(r, ranges, tt, false, false)
 }
 
 // PushManyAckedTraced is PushManyTraced joined on every mirror even on a
@@ -746,10 +745,34 @@ func (c *Client) PushManyTraced(r *Region, ranges []Range, tt *trace.TxTrace) er
 // decision must find that data on whichever mirrors it can still reach.
 // On an all-ack client it is identical to PushManyTraced.
 func (c *Client) PushManyAckedTraced(r *Region, ranges []Range, tt *trace.TxTrace) error {
-	return c.pushManyOpts(r, ranges, tt, true)
+	return c.pushManyOpts(r, ranges, tt, true, false)
 }
 
-func (c *Client) pushManyOpts(r *Region, ranges []Range, tt *trace.TxTrace, allAck bool) error {
+// PushSpansTraced is PushManyTraced for ranges that already are wire
+// spans: each travels exactly as given, with no alignment expansion. The
+// transaction library uses it for database ranges, whose spans it fixed
+// with WireSpan when it claimed them — widening here again could reach
+// into bytes another transaction holds. acked joins on every mirror, as
+// PushManyAckedTraced does.
+func (c *Client) PushSpansTraced(r *Region, spans []Range, tt *trace.TxTrace, acked bool) error {
+	return c.pushManyOpts(r, spans, tt, acked, true)
+}
+
+// WireSpan reports the span [lo,hi) that Push and PushMany put on the
+// wire for r.Local[offset:offset+n]: the range itself below the
+// alignment threshold (or with alignment disabled), else its
+// expandEdges widening. Every byte of the span is read from r.Local when
+// the push runs, so a caller sharing the region between writers must
+// hold the whole span, not just the range.
+func (c *Client) WireSpan(r *Region, offset, n uint64) (lo, hi uint64) {
+	lo, hi = offset, offset+n
+	if !c.alignDisabled && n >= uint64(c.alignThreshold) {
+		lo, hi = expandEdges(lo, hi, r.Size())
+	}
+	return lo, hi
+}
+
+func (c *Client) pushManyOpts(r *Region, ranges []Range, tt *trace.TxTrace, allAck, exact bool) error {
 	for _, rg := range ranges {
 		if err := r.checkRange(rg.Offset, rg.Length); err != nil {
 			return err
@@ -771,8 +794,8 @@ func (c *Client) pushManyOpts(r *Region, ranges []Range, tt *trace.TxTrace, allA
 			continue
 		}
 		lo, hi := rg.Offset, rg.Offset+rg.Length
-		if !c.alignDisabled && rg.Length >= uint64(c.alignThreshold) {
-			lo, hi = expandEdges(lo, hi, r.Size())
+		if !exact {
+			lo, hi = c.WireSpan(r, rg.Offset, rg.Length)
 		}
 		spans = append(spans, wireSpan{lo, hi})
 		payload += rg.Length
@@ -1176,9 +1199,9 @@ func (c *Client) Ping() error {
 // covered 64-byte edge chunk drains as a set of 16-byte packets, so when
 // the copy touches three or more 16-byte slots of an edge chunk it is
 // cheaper to widen the copy and send the whole chunk as one full 64-byte
-// packet. Interior chunks are full either way. The widened bytes are
-// identical on the local buffer and its mirrors, so the expansion never
-// changes remote contents.
+// packet. Interior chunks are full either way. The widened bytes carry
+// whatever the local buffer holds when the push runs; they equal the
+// mirrors' only while nobody is writing them (see WireSpan).
 func expandEdges(lo, hi, size uint64) (uint64, uint64) {
 	const slot = sci.SmallPacketSize
 	if head := lo % sci.BufferSize; head != 0 {

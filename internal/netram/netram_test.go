@@ -203,6 +203,51 @@ func TestPushWithoutAlignment(t *testing.T) {
 	}
 }
 
+// TestPushSpansSendsSpansAsGiven: WireSpan names what Push would send —
+// honouring the alignment options — and PushSpansTraced sends a span
+// exactly as given, so a caller that could only claim the bare range
+// ships no byte beyond it.
+func TestPushSpansSendsSpansAsGiven(t *testing.T) {
+	r := newRig(t, 1)
+	reg, err := r.client.Malloc("db", 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lo, hi := r.client.WireSpan(reg, 68, 56); lo != 64 || hi != 128 {
+		t.Errorf("WireSpan(68,+56) = [%d,%d), want [64,128)", lo, hi)
+	}
+	if lo, hi := r.client.WireSpan(reg, 100, 8); lo != 100 || hi != 108 {
+		t.Errorf("WireSpan(100,+8) = [%d,%d), want [100,108) below the threshold", lo, hi)
+	}
+	plain := newRig(t, 1, WithoutAlignment())
+	preg, err := plain.client.Malloc("db", 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lo, hi := plain.client.WireSpan(preg, 68, 56); lo != 68 || hi != 124 {
+		t.Errorf("WireSpan(68,+56) = [%d,%d) with alignment disabled, want [68,124)", lo, hi)
+	}
+
+	for i := range reg.Local {
+		reg.Local[i] = 0xEE
+	}
+	if err := r.client.PushSpansTraced(reg, []Range{{Offset: 68, Length: 56}}, nil, false); err != nil {
+		t.Fatal(err)
+	}
+	if st := r.client.Stats(); st.WireBytes != 56 || st.Pushes != 1 {
+		t.Errorf("WireBytes = %d, Pushes = %d, want 56 and 1 (span sent as given)", st.WireBytes, st.Pushes)
+	}
+	got, err := r.servers[0].Read(reg.Handle(0).ID, 64, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, 64)
+	copy(want[4:60], reg.Local[68:124])
+	if !bytes.Equal(got, want) {
+		t.Errorf("mirror line [64,128) = % x, want only [68,124) written", got)
+	}
+}
+
 func TestPushExpansionClampsToRegionEnd(t *testing.T) {
 	r := newRig(t, 1)
 	reg, err := r.client.Malloc("db", 100) // not a multiple of 64
