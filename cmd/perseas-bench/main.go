@@ -458,8 +458,10 @@ func runRecovery(w io.Writer, _ int) error {
 		if err := lab.Engine.InitDB(db); err != nil {
 			return err
 		}
-		// Leave a transaction in flight with a handful of ranges so
-		// recovery exercises the remote-undo rollback too.
+		// Leave a transaction with a handful of ranges caught mid-commit —
+		// records and ranges on the mirror, no commit word, which is where
+		// Prepare stops — so recovery exercises the remote-undo rollback
+		// too.
 		const ranges = 4
 		tx, err := lab.Engine.Begin()
 		if err != nil {
@@ -469,6 +471,13 @@ func runRecovery(w io.Writer, _ int) error {
 			if err := tx.SetRange(db, uint64(r)*4096, 512); err != nil {
 				return err
 			}
+		}
+		half, ok := tx.(interface{ Prepare() error })
+		if !ok {
+			return fmt.Errorf("recovery experiment: %T cannot stop a commit before its word", tx)
+		}
+		if err := half.Prepare(); err != nil {
+			return err
 		}
 		if err := lab.Engine.Crash(fault.CrashPower); err != nil {
 			return err

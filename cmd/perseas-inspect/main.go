@@ -25,8 +25,8 @@
 // With -shards, it examines a partitioned deployment — shard mirror
 // groups separated by semicolons — and renders one health/topology row
 // per shard: mirror liveness, exported regions and bytes, database
-// count, in-flight transactions (conflict-table occupancy) and the
-// shard's commit word, exiting non-zero unless every shard has its full
+// count, transactions caught mid-commit (undo records on the mirror,
+// commit word not yet) and the shard's commit word, exiting non-zero unless every shard has its full
 // mirror set healthy:
 //
 //	perseas-inspect -shards "h1:7070,h2:7070;h3:7070,h4:7070"

@@ -244,9 +244,10 @@ func TestRenderShardsHealthy(t *testing.T) {
 	addrs0, lib0, _ := startShard(t, 2)
 	addrs1, lib1, _ := startShard(t, 2)
 
-	// Shard 0 carries two databases and one in-flight transaction (its
-	// undo record is on the wire, its commit word is not): the table must
-	// show it as conflict-table occupancy.
+	// Shard 0 carries two databases and two open transactions. One is
+	// prepared — caught mid-commit, its undo record on the mirror and its
+	// commit word not — and is what INFLIGHT counts; the other has only
+	// declared a range, which sends nothing, and must not show.
 	for _, name := range []string{"users", "orders"} {
 		if _, err := lib0.CreateDB(name, 8192); err != nil {
 			t.Fatal(err)
@@ -256,14 +257,25 @@ func TestRenderShardsHealthy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tx, err := lib0.Begin()
+	tx, err := lib0.BeginTx()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.SetRange(db, 0, 64); err != nil {
 		t.Fatal(err)
 	}
+	if err := tx.Prepare(); err != nil {
+		t.Fatal(err)
+	}
 	defer func() { _ = tx.Abort() }()
+	declaring, err := lib0.BeginTx()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := declaring.SetRange(db, 4096, 64); err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = declaring.Abort() }()
 	if _, err := lib1.CreateDB("inventory", 4096); err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +300,7 @@ func TestRenderShardsHealthy(t *testing.T) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
 	}
-	// Shard 0: 2 databases, 1 in-flight transaction. Shard 1: 1 and 0.
+	// Shard 0: 2 databases, 1 transaction mid-commit. Shard 1: 1 and 0.
 	var rows [][]string
 	for _, line := range strings.Split(out, "\n") {
 		f := strings.Fields(line)

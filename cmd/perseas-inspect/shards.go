@@ -53,9 +53,12 @@ func parseShardSpec(spec string) ([][]string, error) {
 // and renders one topology row per shard: mirror liveness (a one-shot
 // guardian pass over the group), exported region count and bytes, the
 // database directory decoded from the metadata region, and the number
-// of in-flight transactions (undo slots whose head record outruns the
-// slot's commit word — exactly the transactions holding conflict-table
-// claims). Reports whether every shard has its full mirror set healthy.
+// of transactions caught mid-commit (undo slots whose remote head record
+// outruns the slot's commit word: the records have left the primary, the
+// word has not). A transaction that is still declaring and updating
+// ranges holds claims but has sent nothing, so it does not show here —
+// the primary's conflict-occupancy gauge counts those. Reports whether
+// every shard has its full mirror set healthy.
 func renderShards(out io.Writer, spec string) (bool, error) {
 	groups, err := parseShardSpec(spec)
 	if err != nil {
@@ -164,9 +167,11 @@ func probeShard(addrs []string) shardReport {
 	r.dbs = len(info.DBs)
 	r.committed = info.Committed
 
-	// An undo slot whose head record's transaction id is above the
-	// slot's commit word is mid-flight: its writer holds claims in the
-	// shard's conflict table right now.
+	// An undo slot whose remote head record carries a transaction id
+	// above the slot's commit word was caught mid-commit: records reach
+	// the mirror when Commit or Prepare starts, the word when it ends. A
+	// nonzero count on an idle shard is a prepared cross-shard
+	// transaction, or what the next recovery will roll back.
 	for k := 0; k < core.MaxUndoSlots; k++ {
 		log, err := fetchSegment(cli, core.UndoSegmentName("", k))
 		if err != nil {

@@ -71,13 +71,14 @@ func main() {
 	db = reopen(lib)
 	fmt.Printf("scene 1: %s  (uncommitted update discarded; OS crash)\n", db.Bytes()[:8])
 
-	// Scene 2: crash mid-commit — the update partially reached the
-	// mirrors; the remote undo log rolls them back.
+	// Scene 2: crash mid-commit — the undo record and the update reached
+	// the mirrors, the commit word did not; the remote undo log rolls
+	// them back.
 	tx2, err := lib.BeginTx()
 	must(err)
 	must(tx2.SetRange(db, 0, 8))
 	copy(db.Bytes(), "halfway!")
-	pushPartial(lib, db) // simulate commit interrupted between pushes
+	must(tx2.Prepare()) // Commit, interrupted before its last push
 	must(lib.Crash(fault.CrashPower))
 	must(lib.Recover())
 	db = reopen(lib)
@@ -112,13 +113,6 @@ func commit(lib *core.Library, db interface {
 	must(tx.SetRange(d, 0, 8))
 	copy(d.Bytes(), val)
 	must(tx.Commit())
-}
-
-// pushPartial simulates a crash window inside Commit: the data range has
-// propagated to the mirrors but the commit word has not.
-func pushPartial(lib *core.Library, db interface{ Bytes() []byte }) {
-	d := db.(*core.Database)
-	must(lib.Net().Push(d.Region(), 0, 8))
 }
 
 func reopen(lib *core.Library) *core.Database {

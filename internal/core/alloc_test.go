@@ -70,8 +70,8 @@ func TestStoreGatherCoalescesAdjacentRanges(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	// SetRange pushed 3 undo records; commit pushed 1 merged data range
-	// plus the commit word.
+	// Commit pushed 3 undo records, 1 merged data range and the commit
+	// word.
 	gotPushes := r.net.Stats().Pushes - before.Pushes
 	if want := uint64(3 + 1 + 1); gotPushes != want {
 		t.Errorf("pushes = %d, want %d (coalesced commit)", gotPushes, want)

@@ -18,25 +18,37 @@ import (
 	"github.com/ics-forth/perseas/internal/transport"
 )
 
-// droppy wraps a transport and fails the next failNext Write/WriteBatch
-// calls while staying pingable — a transient hiccup on one mirror, not a
-// dead node.
+// droppy wraps a transport and, after letting the next skip
+// Write/WriteBatch calls through, fails the failNext calls that follow,
+// while staying pingable — a transient hiccup on one mirror, not a dead
+// node.
 type droppy struct {
 	transport.Transport
-	failNext int
+	skip, failNext int
+}
+
+// drop reports whether the current call is one to fail.
+func (d *droppy) drop() bool {
+	if d.skip > 0 {
+		d.skip--
+		return false
+	}
+	if d.failNext > 0 {
+		d.failNext--
+		return true
+	}
+	return false
 }
 
 func (d *droppy) Write(seg uint32, offset uint64, data []byte) error {
-	if d.failNext > 0 {
-		d.failNext--
+	if d.drop() {
 		return errors.New("droppy: transient write failure")
 	}
 	return d.Transport.Write(seg, offset, data)
 }
 
 func (d *droppy) WriteBatch(writes []transport.BatchWrite) error {
-	if d.failNext > 0 {
-		d.failNext--
+	if d.drop() {
 		return errors.New("droppy: transient batch failure")
 	}
 	if bw, ok := d.Transport.(transport.BatchWriter); ok {
@@ -108,9 +120,10 @@ func TestAbortRepairsPartialCommitPush(t *testing.T) {
 	}
 	copy(db.Bytes(), "deadbeef")
 
-	// Mirror 1 drops the range push and its retry; mirror 0 has already
-	// applied the batch by then, so the commit fails half-propagated.
-	dr.failNext = 2
+	// Mirror 1 takes the undo records, then drops the range push and its
+	// retry; mirror 0 has already applied the batch by then, so the
+	// commit fails half-propagated.
+	dr.skip, dr.failNext = 1, 2
 	if err := tx.Commit(); err == nil {
 		t.Fatal("commit should fail when a mirror drops the range push")
 	}
@@ -140,46 +153,109 @@ func TestAbortRepairsPartialCommitPush(t *testing.T) {
 	if n := lib.Metrics().Repairs.Load(); n != 1 {
 		t.Errorf("repairs counter = %d, want 1", n)
 	}
+	// Undo slots included: the retired log is the same bytes everywhere.
+	if mm, err := net.VerifyAll(); err != nil || len(mm) != 0 {
+		t.Fatalf("VerifyAll after abort: %+v %v", mm, err)
+	}
 }
 
-func TestSetRangeAdvancesCursorOnPartialUndoPush(t *testing.T) {
-	lib, _, dr, _ := newDroppyRig(t)
-	db, err := lib.CreateDB("acct", 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := lib.InitDB(db); err != nil {
-		t.Fatal(err)
-	}
+// TestCommitKeepsRecordsOnPartialUndoPush is the commit-time form of the
+// rule SetRange used to carry when it pushed each record itself: an undo
+// push that fails after reaching a subset of the mirrors consumes
+// nothing. The records stay where they are in the local log, a further
+// SetRange appends past them, and whoever runs next — a retried Commit
+// or the Abort — sends the whole set again, so the half-reached mirror's
+// log never diverges from the local one.
+func TestCommitKeepsRecordsOnPartialUndoPush(t *testing.T) {
+	for _, finish := range []string{"commit", "abort"} {
+		t.Run(finish, func(t *testing.T) {
+			lib, net, dr, servers := newDroppyRig(t)
+			db, err := lib.CreateDB("acct", 256)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := lib.InitDB(db); err != nil {
+				t.Fatal(err)
+			}
+			region := db.(*Database).region
 
-	tx, err := lib.BeginTx()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The undo-record push reaches mirror 0 and fails on mirror 1. The
-	// record is consumed either way: the cursor must advance and the
-	// range must be tracked, or the next record would overwrite this one
-	// in place and mirror 0's undo log would diverge from the local log.
-	dr.failNext = 2
-	if err := tx.SetRange(db, 0, 8); err == nil {
-		t.Fatal("SetRange should fail when a mirror drops the undo push")
-	}
-	if want := recordSize(8); tx.cursor != want {
-		t.Errorf("cursor = %d after partial undo push, want %d", tx.cursor, want)
-	}
-	if len(tx.ranges) != 1 {
-		t.Errorf("tracked ranges = %d, want 1", len(tx.ranges))
-	}
+			tx, err := lib.BeginTx()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.SetRange(db, 0, 8); err != nil {
+				t.Fatal(err)
+			}
+			copy(db.Bytes(), "deadbeef")
 
-	// After the hiccup clears, a further record appends past the
-	// half-pushed one instead of overwriting it.
-	if err := tx.SetRange(db, 16, 8); err != nil {
-		t.Fatal(err)
-	}
-	if want := 2 * recordSize(8); tx.cursor != want {
-		t.Errorf("cursor = %d after append, want %d", tx.cursor, want)
-	}
-	if err := tx.Abort(); err != nil {
-		t.Fatal(err)
+			// The undo push reaches mirror 0 and fails, retry included,
+			// on mirror 1: Commit fails before a database byte moves.
+			dr.failNext = 2
+			if err := tx.Commit(); err == nil {
+				t.Fatal("Commit should fail when a mirror drops the undo push")
+			}
+			slot := tx.slot.region
+			for i, want := range []bool{true, false} {
+				log, err := servers[i].Read(slot.Handle(i).ID, 0, uint32(recordSize(8)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, _, ok := parseRecord(log, 0); ok != want {
+					t.Fatalf("mirror %d holds the record: %v; the test needs a half-propagated undo push", i, ok)
+				}
+				got, err := servers[i].Read(region.Handle(i).ID, 0, 8)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, make([]byte, 8)) {
+					t.Errorf("mirror %d database holds %q before its undo record is everywhere", i, got)
+				}
+			}
+			if want := recordSize(8); tx.cursor != want {
+				t.Errorf("cursor = %d after partial undo push, want %d", tx.cursor, want)
+			}
+			if len(tx.ranges) != 1 || len(tx.undo) != 1 || tx.undoSent != 0 {
+				t.Errorf("tracked ranges = %d, records = %d, sent = %d; want 1, 1, 0",
+					len(tx.ranges), len(tx.undo), tx.undoSent)
+			}
+
+			// After the hiccup clears, a further record appends past the
+			// half-pushed one instead of overwriting it.
+			if err := tx.SetRange(db, 16, 8); err != nil {
+				t.Fatal(err)
+			}
+			if want := 2 * recordSize(8); tx.cursor != want {
+				t.Errorf("cursor = %d after append, want %d", tx.cursor, want)
+			}
+			copy(db.Bytes()[16:], "cafef00d")
+
+			if finish == "commit" {
+				if err := tx.Commit(); err != nil {
+					t.Fatalf("retried Commit: %v", err)
+				}
+				for i := range servers {
+					got, err := servers[i].Read(region.Handle(i).ID, 0, 24)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(got, db.Bytes()[:24]) {
+						t.Errorf("mirror %d holds %q after the retried commit", i, got)
+					}
+				}
+			} else {
+				if err := tx.Abort(); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(db.Bytes()[:24], make([]byte, 24)) {
+					t.Error("abort did not restore local memory")
+				}
+				if n := lib.Metrics().Repairs.Load(); n != 0 {
+					t.Errorf("repairs counter = %d, want 0: no database byte ever left", n)
+				}
+			}
+			if mm, err := net.VerifyAll(); err != nil || len(mm) != 0 {
+				t.Fatalf("VerifyAll after %s: %+v %v", finish, mm, err)
+			}
+		})
 	}
 }

@@ -283,7 +283,7 @@ func TestQuorumRecoveryWordOnSingleMirror(t *testing.T) {
 // recovery must roll the touched mirrors back using the before-images
 // and leave the mirror set byte-identical at the pre-transaction state.
 func TestQuorumRecoveryRollsBackInFlight(t *testing.T) {
-	r := newQuorumCrashRig(t, 3, 2, 2)
+	r := newQuorumCrashRig(t, 3, 2)
 	db, err := r.lib.CreateDB("bank", 256)
 	if err != nil {
 		t.Fatal(err)
@@ -304,10 +304,12 @@ func TestQuorumRecoveryRollsBackInFlight(t *testing.T) {
 	}
 	r.net.WaitCatchUp()
 
-	// In-flight transaction: undo records land (quorum), data is pushed
-	// by hand (simulating the mid-commit crash before the word push, as
-	// TestRecoverRollsBackInFlightTransaction does on the all-ack path).
-	r.engageStalls()
+	// In-flight transaction: the straggler drops off the network (its
+	// memory stays up), then Prepare — the first half of Commit — lands
+	// the undo records and the data on the two mirrors left and stops
+	// short of the word, as TestRecoverRollsBackInFlightTransaction does
+	// on the all-ack path.
+	r.servers[2].Partition()
 	tx2, err := r.lib.BeginTx()
 	if err != nil {
 		t.Fatal(err)
@@ -316,9 +318,10 @@ func TestQuorumRecoveryRollsBackInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	copy(db.Bytes()[0:], []byte("BROKEN"))
-	if err := r.net.Push(db.(*Database).region, 0, 6); err != nil {
+	if err := tx2.Prepare(); err != nil {
 		t.Fatal(err)
 	}
+	r.servers[2].Heal()
 
 	lib2, net2 := r.attach(t, 2)
 	re, err := lib2.OpenDB("bank")

@@ -153,30 +153,10 @@ func attachParallel(t *testing.T, servers []*memserver.Server, clock simclock.Cl
 	return l, net
 }
 
-// dirtyMirror writes data straight onto one mirror server's copy of a
-// region, bypassing the client — the crash window where a transaction's
-// modifications reached remote memory before the primary died, made
-// synchronous and deterministic.
-func dirtyMirror(t *testing.T, srv *memserver.Server, clock simclock.Clock, name string, off uint64, data []byte) {
-	t.Helper()
-	tr, err := transport.NewInProc(srv, sci.DefaultParams(), clock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := tr.Connect(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Write(h.ID, off, data); err != nil {
-		t.Fatal(err)
-	}
-	_ = tr.Close()
-}
-
 // buildAllAckCrash constructs the all-ack scenario: two databases, two
-// committed transactions, and two in-flight transactions on two undo
-// slots whose garbage already reached every mirror. The primary is then
-// abandoned mid-flight.
+// committed transactions, and two transactions on two undo slots caught
+// mid-commit — Prepare landed their records and their garbage on every
+// mirror, the words never left. The primary is then abandoned.
 func buildAllAckCrash(t *testing.T) ([]*memserver.Server, *simclock.SimClock) {
 	t.Helper()
 	clock := simclock.NewSim()
@@ -250,9 +230,13 @@ func buildAllAckCrash(t *testing.T) ([]*memserver.Server, *simclock.SimClock) {
 	if err := tx2.SetRange(dbB, 256, 8); err != nil {
 		t.Fatal(err)
 	}
-	for _, srv := range servers {
-		dirtyMirror(t, srv, clock, "perseas.db.alpha", 128, []byte("GARBAGE1"))
-		dirtyMirror(t, srv, clock, "perseas.db.beta", 256, []byte("GARBAGE2"))
+	copy(dbA.Bytes()[128:], "GARBAGE1")
+	copy(dbB.Bytes()[256:], "GARBAGE2")
+	if err := tx1.Prepare(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx2.Prepare(); err != nil {
+		t.Fatal(err)
 	}
 	return servers, clock
 }
@@ -294,7 +278,7 @@ func TestParallelRecoveryEquivalenceAllAck(t *testing.T) {
 // repairs must land on the identical final state.
 func TestParallelRecoveryEquivalenceQuorum(t *testing.T) {
 	build := func(t *testing.T) *quorumCrashRig {
-		r := newQuorumCrashRig(t, 3, 1, 1, 2)
+		r := newQuorumCrashRig(t, 3, 1)
 		db, err := r.lib.CreateDB("ledger", 2048)
 		if err != nil {
 			t.Fatal(err)
@@ -317,12 +301,18 @@ func TestParallelRecoveryEquivalenceQuorum(t *testing.T) {
 			t.Fatal(err)
 		}
 		r.net.WaitCatchUp()
-		// From here on only mirror A receives writes.
-		r.engageStalls()
 		tx2, err := r.lib.BeginTx()
 		if err != nil {
 			t.Fatal(err)
 		}
+		tx3, err := r.lib.BeginTx()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// From here on only mirror A receives writes: B and C drop off
+		// the network with their memory intact.
+		r.servers[1].Partition()
+		r.servers[2].Partition()
 		if err := tx2.SetRange(db, 512, 6); err != nil {
 			t.Fatal(err)
 		}
@@ -330,15 +320,17 @@ func TestParallelRecoveryEquivalenceQuorum(t *testing.T) {
 		if err := tx2.Commit(); err != nil {
 			t.Fatalf("1-of-3 commit: %v", err)
 		}
-		// In-flight transaction: undo record on A, garbage on A, no word.
-		tx3, err := r.lib.BeginTx()
-		if err != nil {
-			t.Fatal(err)
-		}
+		// In-flight transaction, caught mid-commit by Prepare: undo
+		// record on A, garbage on A, no word.
 		if err := tx3.SetRange(db, 1024, 6); err != nil {
 			t.Fatal(err)
 		}
-		dirtyMirror(t, r.servers[0], r.clock, "perseas.db.ledger", 1024, []byte("BROKEN"))
+		copy(db.Bytes()[1024:], "BROKEN")
+		if err := tx3.Prepare(); err != nil {
+			t.Fatal(err)
+		}
+		r.servers[1].Heal()
+		r.servers[2].Heal()
 		return r
 	}
 	var want recoveredState
@@ -377,7 +369,7 @@ func TestParallelRecoveryEquivalenceQuorum(t *testing.T) {
 // publish the word and keep the transaction at every parallelism.
 func TestParallelRecoveryEquivalenceDecided(t *testing.T) {
 	build := func(t *testing.T) (*quorumCrashRig, map[int]uint64) {
-		r := newQuorumCrashRig(t, 3, 2, 2)
+		r := newQuorumCrashRig(t, 3, 2)
 		db, err := r.lib.CreateDB("orders", 1024)
 		if err != nil {
 			t.Fatal(err)
@@ -397,10 +389,11 @@ func TestParallelRecoveryEquivalenceDecided(t *testing.T) {
 			t.Fatal(err)
 		}
 		r.net.WaitCatchUp()
-		r.engageStalls()
-		// The decided transaction: undo records and data reach the
-		// quorum, the decision is durable on the coordinator, the commit
+		// The decided transaction: the straggler C is off the network,
+		// Prepare lands the undo records and the data on mirrors A and B,
+		// the decision is durable on the coordinator, and the commit
 		// word push loses the race with the crash.
+		r.servers[2].Partition()
 		tx2, err := r.lib.BeginTx()
 		if err != nil {
 			t.Fatal(err)
@@ -409,12 +402,10 @@ func TestParallelRecoveryEquivalenceDecided(t *testing.T) {
 			t.Fatal(err)
 		}
 		copy(db.Bytes()[64:], []byte("decided!"))
-		// The data reached the quorum (mirrors A and B) but not the
-		// stalled straggler; written server-side so the push cannot race
-		// the crash.
-		for _, srv := range r.servers[:2] {
-			dirtyMirror(t, srv, r.clock, "perseas.db.orders", 64, []byte("decided!"))
+		if err := tx2.Prepare(); err != nil {
+			t.Fatal(err)
 		}
+		r.servers[2].Heal()
 		return r, map[int]uint64{tx2.slot.idx: tx2.id}
 	}
 	var want recoveredState

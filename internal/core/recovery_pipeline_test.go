@@ -26,20 +26,25 @@ import (
 // recovery produces — recovery must be idempotent from any prefix of
 // its own writes.
 
-// cutTransport counts every write and batch write on a counter shared by
-// all mirrors of one client and refuses them from the failFrom-th on,
-// while reads and pings keep answering: the recovering node loses its
-// outbound path mid-repair. It hides the transport's Filler, so
-// server-side zeroing falls back to counted writes as well.
+// cutTransport counts every write and batch write on a counter — shared
+// by all mirrors of one client, or private to one mirror — and refuses
+// them from the failFrom-th on, while reads and pings keep answering: the
+// node behind it loses its outbound path mid-repair, or mid-commit. It
+// hides the transport's Filler, so server-side zeroing falls back to
+// counted writes as well. With torn set every entry of a batch is its
+// own counted write, applied one by one, so a cut can fall inside a
+// batch and leave a prefix of it on the mirror — what a transport
+// without batching, or a frame cut short by the sender's death, leaves.
 type cutTransport struct {
 	transport.Transport
 	writes   *atomic.Int64
 	failFrom int64
+	torn     bool
 }
 
 func (c *cutTransport) admit() error {
 	if c.writes.Add(1) >= c.failFrom {
-		return errors.New("cut: recovering node lost its outbound path")
+		return errors.New("cut: node lost its outbound path")
 	}
 	return nil
 }
@@ -52,6 +57,14 @@ func (c *cutTransport) Write(seg uint32, offset uint64, data []byte) error {
 }
 
 func (c *cutTransport) WriteBatch(writes []transport.BatchWrite) error {
+	if c.torn {
+		for _, w := range writes {
+			if err := c.Write(w.Seg, w.Offset, w.Data); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	if err := c.admit(); err != nil {
 		return err
 	}
@@ -127,11 +140,12 @@ func attachCut(t *testing.T, servers []*memserver.Server, clock simclock.Clock, 
 
 // buildQuorumForwardCrash constructs a 2-of-3 crash needing both kinds
 // of repair: one transaction committed on mirrors A and B while the
-// straggler C saw none of it (a forward repair), and a second slot's
-// in-flight transaction whose garbage reached A and B (a rollback).
+// straggler C, off the network, saw none of it (a forward repair), and a
+// second slot's transaction caught mid-commit — Prepare landed its
+// records and its garbage on A and B, no word (a rollback).
 func buildQuorumForwardCrash(t *testing.T) ([]*memserver.Server, *simclock.SimClock) {
 	t.Helper()
-	r := newQuorumCrashRig(t, 3, 2, 2)
+	r := newQuorumCrashRig(t, 3, 2)
 	db, err := r.lib.CreateDB("bank", 1024)
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +157,6 @@ func buildQuorumForwardCrash(t *testing.T) ([]*memserver.Server, *simclock.SimCl
 		t.Fatal(err)
 	}
 	r.net.WaitCatchUp()
-	r.engageStalls()
 	won, err := r.lib.BeginTx()
 	if err != nil {
 		t.Fatal(err)
@@ -152,6 +165,7 @@ func buildQuorumForwardCrash(t *testing.T) ([]*memserver.Server, *simclock.SimCl
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.servers[2].Partition()
 	if err := won.SetRange(db, 64, 10); err != nil {
 		t.Fatal(err)
 	}
@@ -162,9 +176,11 @@ func buildQuorumForwardCrash(t *testing.T) ([]*memserver.Server, *simclock.SimCl
 	if err := won.Commit(); err != nil {
 		t.Fatalf("2-of-3 commit with a stalled straggler: %v", err)
 	}
-	for _, srv := range r.servers[:2] {
-		dirtyMirror(t, srv, r.clock, "perseas.db.bank", 512, []byte("BROKEN"))
+	copy(db.Bytes()[512:], "BROKEN")
+	if err := inflight.Prepare(); err != nil {
+		t.Fatal(err)
 	}
+	r.servers[2].Heal()
 	return r.servers, r.clock
 }
 

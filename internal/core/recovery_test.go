@@ -46,9 +46,9 @@ func TestRecoverRollsBackInFlightTransaction(t *testing.T) {
 	db := r.mustCreate(t, "db", 512, 0)
 	r.update(t, db, 0, []byte("stable"))
 
-	// Start a transaction and crash after its updates partially
-	// propagated to the remote database (mid-commit, before the commit
-	// word): push the range by hand to simulate the partial commit.
+	// Start a transaction and crash mid-commit, after its undo records
+	// and its updates reached the remote database but before the commit
+	// word did: Prepare is exactly that first half of Commit.
 	tx, err := r.lib.BeginTx()
 	if err != nil {
 		t.Fatal(err)
@@ -57,8 +57,17 @@ func TestRecoverRollsBackInFlightTransaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	copy(db.Bytes()[0:], []byte("BROKEN"))
-	if err := r.net.Push(db.(*Database).region, 0, 6); err != nil {
+	if err := tx.Prepare(); err != nil {
 		t.Fatal(err)
+	}
+	for _, srv := range r.servers {
+		seg, err := srv.Connect("perseas.db.db")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := string(seg.Data[:6]); got != "BROKEN" {
+			t.Fatalf("mirror %s holds %q; the test needs a half-committed transaction", srv.Label(), got)
+		}
 	}
 
 	r.crashAndRecover(t)
@@ -217,12 +226,16 @@ func TestRecoverPreservesTxIDMonotonicity(t *testing.T) {
 	r.update(t, db, 0, []byte("a")) // tx 1
 	r.update(t, db, 1, []byte("b")) // tx 2
 
-	// In-flight tx 3 crashes.
+	// In-flight tx 3 crashes mid-commit: its records are on the mirror,
+	// its commit word is not.
 	tx, err := r.lib.BeginTx()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.SetRange(db, 0, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Prepare(); err != nil {
 		t.Fatal(err)
 	}
 	r.crashAndRecover(t)

@@ -24,6 +24,13 @@ type Tx struct {
 	cursor uint64
 	ranges []pending
 	pushed []pending
+	// undo names the slot's log records, one (offset, length) per
+	// SetRange, in log order; undo[:undoSent] are on the mirrors. The
+	// records leave together when Commit or Prepare starts — no reader
+	// looks at a remote record before its transaction's ranges reach a
+	// mirror — or, retired, when Abort ends.
+	undo     []netram.Range
+	undoSent int
 	// scratch is the commit path's reusable netram.Range buffer (one
 	// database's run at a time); capacity survives across the handle's
 	// reuses.
@@ -98,13 +105,14 @@ func (l *Library) beginTx(traceID, parentSpan uint64) (*Tx, error) {
 		t = &Tx{}
 		slot.tx = t
 	}
-	// Reset the recycled handle in place; ranges/pushed/scratch keep
+	// Reset the recycled handle in place; ranges/pushed/undo/scratch keep
 	// their capacity, which is what makes the steady-state commit path
 	// allocation-free.
 	t.l, t.id, t.slot = l, l.lastTxID, slot
 	t.cursor = 0
 	t.ranges = t.ranges[:0]
 	t.pushed = t.pushed[:0]
+	t.undo, t.undoSent = t.undo[:0], 0
 	t.done = false
 	t.prepared = false
 	slot.busy = true
@@ -133,12 +141,14 @@ func (l *Library) finishLocked(t *Tx) {
 	delete(l.txs, t)
 }
 
-// SetRange implements engine.Tx: the paper's PERSEAS_set_range. It logs
-// the declared range's original image to the transaction's local undo
-// slot (one local memory copy) and propagates that log record to the
-// slot's remote mirror (one remote write), after which the application
-// may update the range in place. A range held by another in-flight
-// transaction fails with engine.ErrConflict.
+// SetRange implements engine.Tx: the paper's PERSEAS_set_range. It
+// claims the declared range and logs its original image to the
+// transaction's local undo slot (one local memory copy), after which the
+// application may update the range in place. Nothing leaves the node: the
+// log record travels to the slot's remote mirror with the transaction's
+// other records when Commit or Prepare starts, ahead of the first
+// modified byte. A range held by another in-flight transaction fails
+// with engine.ErrConflict.
 func (t *Tx) SetRange(db engine.DB, offset, length uint64) error {
 	l := t.l
 	l.mu.Lock()
@@ -177,62 +187,45 @@ func (t *Tx) SetRange(db engine.DB, offset, length uint64) error {
 		t.tt.Event(trace.LayerEngine, "conflict", uint64(d.id))
 		return err
 	}
+	// Nothing below can fail, so the range counts as logged here and the
+	// library lock is taken once per SetRange.
+	l.stats.SetRanges++
+	l.stats.BytesLogged += length
 	l.mu.Unlock()
 
-	// From here the range belongs to this transaction: the copies and
-	// pushes below cannot race another transaction's writes, so they run
-	// without the library lock.
+	// From here the range belongs to this transaction: the copy below
+	// cannot race another transaction's writes, so it runs without the
+	// library lock.
 	sr := t.tt.Start(trace.LayerEngine, "set_range")
 
 	// Step 1 (paper Fig. 3): before-image into the local undo log.
 	phase := l.clock.Now()
 	recOff := t.cursor
 	cp := t.tt.Start(trace.LayerCore, "local_undo_copy")
-	advance := writeRecord(t.slot.region.Local, recOff, t.id, d.id, offset,
+	t.cursor += writeRecord(t.slot.region.Local, recOff, t.id, d.id, offset,
 		d.region.Local[offset:offset+length])
 	l.clock.Advance(l.mem.CopyCost(int(recordHeaderSize + length)))
 	cp.EndN(recordHeaderSize + length)
 	l.metrics.LocalCopy.ObserveDuration(l.clock.Now() - phase)
 
-	// The record is consumed — cursor and range list advance before the
-	// remote push, not after. A failing Push can still reach a subset
-	// of the mirrors; if the cursor did not move, the next SetRange
-	// would overwrite this half-pushed record in place and the reached
-	// mirror's undo log would silently diverge from the local one.
-	// Advancing regardless of the push outcome keeps the log
-	// append-only everywhere and lets Abort unwind the claim normally.
-	t.cursor += advance
 	t.ranges = append(t.ranges, pending{db: d, offset: wlo, length: whi - wlo})
-
-	// Step 2: the log record propagates to the remote undo log. On
-	// failure the claim stays held until the caller aborts, which
-	// releases every claim of this transaction at once.
 	if !l.noRemoteUndo {
-		phase = l.clock.Now()
-		up := t.tt.Start(trace.LayerCore, "undo_push")
-		if err := l.net.PushTraced(t.slot.region, recOff, recordHeaderSize+length, t.tt); err != nil {
-			up.End()
-			sr.End()
-			return fmt.Errorf("perseas: push undo record: %w", err)
-		}
-		up.EndN(recordHeaderSize + length)
-		l.metrics.UndoPush.ObserveDuration(l.clock.Now() - phase)
+		t.undo = append(t.undo, netram.Range{Offset: recOff, Length: recordHeaderSize + length})
 	}
 	sr.EndN(length)
-
-	l.mu.Lock()
-	l.stats.SetRanges++
-	l.stats.BytesLogged += length
-	l.mu.Unlock()
 	return nil
 }
 
-// Commit implements engine.Tx: the paper's PERSEAS_commit_transaction.
-// The modified portions of the database are copied to the equivalent
-// portions in the remote nodes' memories (step 3 of Fig. 3); the
+// Commit implements engine.Tx: the paper's PERSEAS_commit_transaction,
+// three joined pushes per mirror. The transaction's undo records travel
+// to the slot's remote log (step 2 of Fig. 3, one batch); once they are
+// on their quorum the modified portions of the database are copied to
+// the equivalent portions in the remote nodes' memories (step 3); the
 // transaction then commits atomically with one small remote write of its
 // slot's commit word, which also discards that slot's remote undo log
-// (records up to the committed id are ignored by recovery).
+// (records up to the committed id are ignored by recovery). Each push
+// joins before the next starts, so on every mirror and across mirrors
+// every record precedes every range and every range precedes the word.
 func (t *Tx) Commit() error {
 	l := t.l
 	l.mu.Lock()
@@ -250,6 +243,9 @@ func (t *Tx) Commit() error {
 	merged := t.mergeRanges()
 	cm := t.tt.Start(trace.LayerEngine, "commit")
 	total := l.clock.Now()
+	if err := t.pushUndo(cm, false); err != nil {
+		return err
+	}
 	if err := t.pushRanges(cm, merged, false); err != nil {
 		return err
 	}
@@ -261,8 +257,9 @@ func (t *Tx) Commit() error {
 }
 
 // Prepare runs the first half of the two-phase form of Commit the shard
-// router uses for cross-shard transactions: every modified range is
-// pushed to this instance's mirrors (commit step 3), but the commit word
+// router uses for cross-shard transactions: the undo records and then
+// every modified range are pushed to this instance's mirrors (commit
+// steps 2 and 3, joined on every mirror), but the commit word
 // stays unpublished and the transaction stays open with its claims held.
 // A prepared transaction either finishes with CommitPrepared or rolls
 // back with Abort. If the node dies in between, the prepared state is
@@ -286,6 +283,9 @@ func (t *Tx) Prepare() error {
 	merged := t.mergeRanges()
 	pp := t.tt.Start(trace.LayerEngine, "prepare")
 	t.prepStart = l.clock.Now()
+	if err := t.pushUndo(pp, true); err != nil {
+		return err
+	}
 	if err := t.pushRanges(pp, merged, true); err != nil {
 		return err
 	}
@@ -372,6 +372,38 @@ func (t *Tx) mergeRanges() []pending {
 		t.ranges = merged
 	}
 	return merged
+}
+
+// pushUndo is commit step 2 (paper Fig. 3), deferred from SetRange: the
+// log records not yet on the mirrors travel to the slot's remote undo
+// log as one batch, one wire range per record — the same stores, and on
+// the simulated clock the same cost, as pushing each when it was written.
+// It joins before the caller pushes a single database byte, which is the
+// whole ordering requirement: a mirror must hold the before-image of
+// every byte a range push may overwrite. A failed push can still have
+// reached some mirrors; undoSent does not move, so a retried Commit or
+// the Abort re-sends the set. parent and allAck are as in pushRanges.
+func (t *Tx) pushUndo(parent trace.SpanRef, allAck bool) error {
+	l := t.l
+	recs := t.undo[t.undoSent:]
+	if len(recs) == 0 {
+		return nil
+	}
+	phase := l.clock.Now()
+	up := t.tt.Start(trace.LayerCore, "undo_push")
+	push := l.net.PushManyTraced
+	if allAck {
+		push = l.net.PushManyAckedTraced
+	}
+	if err := push(t.slot.region, recs, t.tt); err != nil {
+		up.End()
+		parent.End()
+		return fmt.Errorf("perseas: push undo records: %w", err)
+	}
+	t.undoSent = len(t.undo)
+	up.EndN(uint64(len(recs)))
+	l.metrics.UndoPush.ObserveDuration(l.clock.Now() - phase)
+	return nil
 }
 
 // pushRanges is commit step 3 (paper Fig. 3): the modified portions of
@@ -480,7 +512,13 @@ func (t *Tx) retireCommitted() error {
 // with plain local memory copies, newest record first. If a failed
 // Commit had already pushed some ranges to the mirrors, those ranges are
 // re-pushed with their restored (pre-transaction) content so local and
-// remote databases stay identical.
+// remote databases stay identical. Last, the slot's log is retired: the
+// records' transaction ids are zeroed and the records pushed, in one
+// batch. That leaves the slot byte-identical on every mirror whether
+// Commit never ran, sent none, some or all of the records — and leaves no
+// valid record of an aborted transaction at a remote log head, where a
+// later crash would roll its stale before-images back over whatever
+// another transaction has committed to those bytes since.
 func (t *Tx) Abort() error {
 	l := t.l
 	l.mu.Lock()
@@ -534,6 +572,17 @@ func (t *Tx) Abort() error {
 			return fmt.Errorf("perseas: repair mirror after failed commit: %w", err)
 		}
 		l.metrics.Repairs.Inc()
+	}
+	if len(t.undo) > 0 {
+		for _, u := range t.undo {
+			binary.BigEndian.PutUint64(t.slot.region.Local[u.Offset:], 0)
+		}
+		// The local image is restored; a retried Abort must not parse the
+		// retired log again, only finish sending it.
+		t.cursor, t.undoSent = 0, 0
+		if err := t.pushUndo(ab, false); err != nil {
+			return err
+		}
 	}
 	ab.End()
 

@@ -3,6 +3,7 @@ package router
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 
 	"github.com/ics-forth/perseas/internal/core"
@@ -109,6 +110,25 @@ func write(t *testing.T, e engine.Engine, db engine.DB, off uint64, data []byte)
 	}
 }
 
+// mirrorHolds reports whether the first 64 bytes of every database
+// segment exported on srv equal b.
+func mirrorHolds(t *testing.T, srv *memserver.Server, b byte) bool {
+	t.Helper()
+	for _, info := range srv.List() {
+		if !strings.HasPrefix(info.Name, "perseas.db.") {
+			continue
+		}
+		data, err := srv.Read(info.ID, 0, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(data, bytes.Repeat([]byte{b}, 64)) {
+			return false
+		}
+	}
+	return true
+}
+
 // verifyMirrors checks local/remote agreement on every shard.
 func (rig *testRig) verifyMirrors(t *testing.T) {
 	t.Helper()
@@ -166,36 +186,65 @@ func TestCrossShardCommitSurvivesCrash(t *testing.T) {
 	}
 }
 
+// TestCrossShardAbortRestoresBothShards aborts a two-shard transaction
+// at both points an abort can find it: while it has only declared and
+// updated its ranges (nothing has left the node — SetRange is local), and
+// after every participant prepared, when its undo records and its
+// updates are on both shards' mirrors and only the decision is missing.
+// Either way both shards end restored, locally and on every mirror, undo
+// slots included.
 func TestCrossShardAbortRestoresBothShards(t *testing.T) {
-	rig := newTestRig(t, 2, 2)
-	r := rig.r
-	db0 := mkDB(t, r, dbOnShard(t, r, 0, "a"), 4096, 0x11)
-	db1 := mkDB(t, r, dbOnShard(t, r, 1, "a"), 4096, 0x22)
+	for _, prepared := range []bool{false, true} {
+		name := "declared"
+		if prepared {
+			name = "prepared"
+		}
+		t.Run(name, func(t *testing.T) {
+			rig := newTestRig(t, 2, 2)
+			r := rig.r
+			db0 := mkDB(t, r, dbOnShard(t, r, 0, "a"), 4096, 0x11)
+			db1 := mkDB(t, r, dbOnShard(t, r, 1, "a"), 4096, 0x22)
 
-	tx, err := r.Begin()
-	if err != nil {
-		t.Fatal(err)
+			tx, err := r.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, db := range []engine.DB{db0, db1} {
+				if err := tx.SetRange(db, 0, 64); err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < 64; i++ {
+					db.Bytes()[i] = 0xFF
+				}
+			}
+			if prepared {
+				for s, sub := range tx.(*routerTx).subs {
+					if err := sub.Prepare(); err != nil {
+						t.Fatalf("prepare on shard %d: %v", s, err)
+					}
+				}
+				for s, servers := range rig.servers {
+					for _, srv := range servers {
+						if !mirrorHolds(t, srv, 0xFF) {
+							t.Fatalf("shard %d mirror %s does not hold the prepared update; the test needs a half-committed transaction", s, srv.Label())
+						}
+					}
+				}
+			}
+			if err := tx.Abort(); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 64; i++ {
+				if db0.Bytes()[i] != 0x11 {
+					t.Fatalf("db0[%d] = %#x after abort, want 0x11", i, db0.Bytes()[i])
+				}
+				if db1.Bytes()[i] != 0x22 {
+					t.Fatalf("db1[%d] = %#x after abort, want 0x22", i, db1.Bytes()[i])
+				}
+			}
+			rig.verifyMirrors(t)
+		})
 	}
-	for _, db := range []engine.DB{db0, db1} {
-		if err := tx.SetRange(db, 0, 64); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 64; i++ {
-			db.Bytes()[i] = 0xFF
-		}
-	}
-	if err := tx.Abort(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 64; i++ {
-		if db0.Bytes()[i] != 0x11 {
-			t.Fatalf("db0[%d] = %#x after abort, want 0x11", i, db0.Bytes()[i])
-		}
-		if db1.Bytes()[i] != 0x22 {
-			t.Fatalf("db1[%d] = %#x after abort, want 0x22", i, db1.Bytes()[i])
-		}
-	}
-	rig.verifyMirrors(t)
 }
 
 func TestSingleShardCommitTakesPlainPath(t *testing.T) {
