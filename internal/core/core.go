@@ -7,12 +7,16 @@
 // memory copies — no magnetic disk ever sits on the commit path:
 //
 //  1. Tx.SetRange copies the before-image of the declared range into a
-//     local undo log and pushes that log record to the remote undo log
-//     (one remote write).
+//     local undo log. Nothing leaves the node.
 //  2. The application updates the declared ranges in place.
-//  3. Tx.Commit pushes every modified range to the mirrored remote
-//     database and then publishes the transaction id with one small
-//     remote write of the commit word — the atomic commit point.
+//  3. Tx.Commit pushes the transaction's log records to the remote undo
+//     log (one batch), then every modified range to the mirrored remote
+//     database (one batch per database), and then publishes the
+//     transaction id with one small remote write of the commit word —
+//     the atomic commit point. Each push joins before the next starts:
+//     no reader looks at a remote undo record before its transaction's
+//     ranges reach a mirror, so the records only have to get there
+//     first, not early.
 //
 // Where the paper's library serves one sequential application, this
 // implementation hands out explicit transaction handles and lets many
@@ -304,8 +308,8 @@ func WithFlightRecorder(rec *flight.Recorder) Option {
 	return func(l *Library) { l.flightRec = rec }
 }
 
-// WithUnsafeNoRemoteUndo disables the remote undo-log push in SetRange.
-// This exists ONLY for the ablation benchmarks that price the remote
+// WithUnsafeNoRemoteUndo disables the remote undo-log push that opens
+// Commit. This exists ONLY for the ablation benchmarks that price the remote
 // undo mirroring: without it a primary crash during commit cannot be
 // rolled back on the mirrors, so never enable it in real deployments.
 func WithUnsafeNoRemoteUndo() Option {

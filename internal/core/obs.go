@@ -3,9 +3,9 @@ package core
 import "github.com/ics-forth/perseas/internal/obs"
 
 // CommitMetrics breaks a transaction's cost into the paper's phases
-// (Fig. 3): the local before-image copy, the remote undo-log push, the
-// database range push at commit, and the one small remote write that
-// publishes the commit word. Every histogram holds nanoseconds of
+// (Fig. 3): the local before-image copy, the remote undo-log push that
+// opens the commit, the database range push, and the one small remote
+// write that publishes the commit word. Every histogram holds nanoseconds of
 // clock delta — on a simulated clock that is exactly the modelled
 // time, and the instrumentation only ever reads the clock, so the
 // reproduced figures are identical with or without it.
@@ -13,8 +13,9 @@ type CommitMetrics struct {
 	// LocalCopy is SetRange's step 1: before-image into the local undo
 	// slot.
 	LocalCopy obs.Histogram
-	// UndoPush is SetRange's step 2: the log record to the remote undo
-	// log.
+	// UndoPush is step 2, run when Commit or Prepare starts: the
+	// transaction's log records to the remote undo log as one batch —
+	// one observation per transaction, not per range.
 	UndoPush obs.Histogram
 	// RangePush is Commit's step 3: the modified database ranges to
 	// every mirror.
@@ -22,7 +23,7 @@ type CommitMetrics struct {
 	// WordPush is the atomic commit point: one 8-byte remote write of
 	// the slot's commit word.
 	WordPush obs.Histogram
-	// CommitTotal is a whole successful Commit call.
+	// CommitTotal is a whole successful Commit call, undo push included.
 	CommitTotal obs.Histogram
 	// Repairs counts ranges re-pushed by Abort after a partially
 	// executed Commit, restoring mirror/local agreement.
@@ -75,10 +76,10 @@ func (l *Library) RegisterMetrics(reg *obs.Registry) {
 func (l *Library) RegisterMetricsPrefixed(reg *obs.Registry, prefix string) {
 	m := &l.metrics
 	reg.RegisterHistogram(prefix+"_commit_local_copy_ns", "SetRange before-image local copy", &m.LocalCopy)
-	reg.RegisterHistogram(prefix+"_commit_undo_push_ns", "SetRange undo record remote push", &m.UndoPush)
+	reg.RegisterHistogram(prefix+"_commit_undo_push_ns", "Commit/Prepare undo record batch remote push, one per transaction", &m.UndoPush)
 	reg.RegisterHistogram(prefix+"_commit_range_push_ns", "Commit database range push", &m.RangePush)
 	reg.RegisterHistogram(prefix+"_commit_word_push_ns", "commit word publish", &m.WordPush)
-	reg.RegisterHistogram(prefix+"_commit_total_ns", "whole successful Commit call", &m.CommitTotal)
+	reg.RegisterHistogram(prefix+"_commit_total_ns", "whole successful Commit call: undo, range and word pushes", &m.CommitTotal)
 	reg.RegisterCounter(prefix+"_abort_mirror_repairs_total", "ranges re-pushed by Abort after a failed Commit", &m.Repairs)
 	rm := &l.recMetrics
 	reg.RegisterHistogram(prefix+"_recover_meta_fetch_ns", "recovery metadata reconnect + snapshots", &rm.MetaFetch)
