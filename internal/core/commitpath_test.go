@@ -58,7 +58,7 @@ func newCutRig(t *testing.T, n, q int, torn bool, opts ...Option) *cutRig {
 	}
 	t.Cleanup(net.Close)
 	r.net = net
-	// A small undo log keeps the per-cut server clones cheap.
+	// A small undo log keeps the Attach after every cut cheap.
 	r.lib, err = Init(net, r.clock, append([]Option{WithUndoLogSize(8 << 10)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)

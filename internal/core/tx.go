@@ -573,16 +573,14 @@ func (t *Tx) Abort() error {
 		}
 		l.metrics.Repairs.Inc()
 	}
-	if len(t.undo) > 0 {
-		for _, u := range t.undo {
-			binary.BigEndian.PutUint64(t.slot.region.Local[u.Offset:], 0)
-		}
-		// The local image is restored; a retried Abort must not parse the
-		// retired log again, only finish sending it.
-		t.cursor, t.undoSent = 0, 0
-		if err := t.pushUndo(ab, false); err != nil {
-			return err
-		}
+	for _, u := range t.undo {
+		binary.BigEndian.PutUint64(t.slot.region.Local[u.Offset:], 0)
+	}
+	// The local image is restored; a retried Abort must not parse the
+	// retired log again, only finish sending it.
+	t.cursor, t.undoSent = 0, 0
+	if err := t.pushUndo(ab, false); err != nil {
+		return err
 	}
 	ab.End()
 
