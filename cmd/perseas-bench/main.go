@@ -13,8 +13,9 @@
 // and memory models, so the output is identical on every host.
 //
 // -experiment commitpath additionally breaks the commit cost into the
-// paper's Fig. 3 phases (local undo copy, remote undo push, range push,
-// commit-word publish). It runs only when named: the reference outputs
+// phases the code has (the local undo copy of the paper's Fig. 3, and the
+// one commit push that carries the undo records, the ranges and the
+// commit word). It runs only when named: the reference outputs
 // of -experiment all predate the observability layer and stay
 // byte-identical.
 //

@@ -21,7 +21,7 @@ func TestRunEachExperiment(t *testing.T) {
 		{"table1", []string{"Table 1", "debit-credit", "order-entry"}},
 		{"dbsize", []string{"branches", "751100"}},
 		{"ablate", []string{"no remote undo", "3 mirrors", "synthetic-200"}},
-		{"commitpath", []string{"commit path", "local undo copy", "commit word push", "p99(us)"}},
+		{"commitpath", []string{"commit path", "local undo copy", "commit push", "p99(us)"}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.experiment, func(t *testing.T) {

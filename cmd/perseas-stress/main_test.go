@@ -118,7 +118,7 @@ func TestRunGuardianMode(t *testing.T) {
 		byTrace[sp.Trace][sp.Name] = true
 	}
 	for id, names := range byTrace {
-		if names["tx"] && names["set_range"] && names["commit"] && names["word_push"] {
+		if names["tx"] && names["set_range"] && names["commit"] && names["commit_push"] {
 			completeTx = id
 			break
 		}
@@ -129,7 +129,7 @@ func TestRunGuardianMode(t *testing.T) {
 		}
 	}
 	if completeTx == 0 {
-		t.Error("trace holds no complete transaction tree (tx/set_range/commit/word_push)")
+		t.Error("trace holds no complete transaction tree (tx/set_range/commit/commit_push)")
 	}
 }
 

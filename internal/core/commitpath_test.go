@@ -14,12 +14,13 @@ import (
 	"github.com/ics-forth/perseas/internal/transport"
 )
 
-// The commit-path suite. A transaction is three joined pushes per mirror
-// — its undo records, its ranges, its commit word — and SetRange is
-// purely local. The suite pins that shape with a counting transport and
-// then kills the primary after every individual mirror write of it, on
-// each mirror independently, and demands that recovery lands on a state
-// the transaction's caller could have been told about.
+// The commit-path suite. A transaction is one ordered batch per mirror —
+// its undo records, its ranges, its commit word — joined once, and
+// SetRange is purely local. The suite pins that shape with a counting
+// transport and then kills the primary after every individual entry of
+// the batch, on each mirror independently, on two mirrors at once, and
+// with the mirror itself dying at the cut, and demands that recovery
+// lands on a state the transaction's caller could have been told about.
 
 // cutRig is a library over n in-process mirrors, each behind its own
 // cutTransport with a private counter: cuts[i].writes counts mirror i's
@@ -100,18 +101,20 @@ func declare(t *testing.T, lib *Library, db *Database, fill byte) *Tx {
 
 // TestSetRangeSendsNothing pins the contract the commit path is built
 // on: SetRange is a claim and a local copy — no mirror write, no
-// allocation once warm — and Commit is exactly three write exchanges per
-// mirror: the undo batch, the range batch, the commit word. Without
-// remote undo (the ablation's unsafe arm) the first of the three is
-// skipped and nothing else changes.
+// allocation once warm — and Commit is exactly one write exchange per
+// mirror, carrying the undo records, the ranges and the commit word.
+// Without remote undo (the ablation's unsafe arm) the batch is shorter,
+// not rarer. The two-phase form is two: Prepare's batch, then the word.
 func TestSetRangeSendsNothing(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		opts      []Option
+		prepared  bool
 		exchanges int64
 	}{
-		{"remote-undo", nil, 3},
-		{"no-remote-undo", []Option{WithUnsafeNoRemoteUndo()}, 2},
+		{"remote-undo", nil, false, 1},
+		{"no-remote-undo", []Option{WithUnsafeNoRemoteUndo()}, false, 1},
+		{"prepare-then-word", nil, true, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newCutRig(t, 2, 0, false, tc.opts...)
@@ -123,6 +126,7 @@ func TestSetRangeSendsNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 			db := edb.(*Database)
+			finish := commitShape{prepared: tc.prepared}.finish
 			for i := 0; i < 8; i++ { // also warms slot, scratch and pools
 				before := r.counts()
 				tx := declare(t, r.lib, db, byte(i))
@@ -131,7 +135,7 @@ func TestSetRangeSendsNothing(t *testing.T) {
 						t.Errorf("mirror %d saw %d writes across %d SetRanges, want 0", m, n-before[m], len(debitCredit))
 					}
 				}
-				if err := tx.Commit(); err != nil {
+				if err := finish(tx); err != nil {
 					t.Fatal(err)
 				}
 				for m, n := range r.counts() {
@@ -146,15 +150,15 @@ func TestSetRangeSendsNothing(t *testing.T) {
 			var tx *Tx
 			if n := testing.AllocsPerRun(100, func() {
 				if tx != nil {
-					if err := tx.Commit(); err != nil {
+					if err := finish(tx); err != nil {
 						t.Fatal(err)
 					}
 				}
 				tx = declare(t, r.lib, db, 0x5a)
 			}); n != 0 {
-				t.Errorf("Begin, %d SetRanges and the previous Commit allocate %.1f objects per run, want 0", len(debitCredit), n)
+				t.Errorf("Begin, %d SetRanges and the previous commit allocate %.1f objects per run, want 0", len(debitCredit), n)
 			}
-			if err := tx.Commit(); err != nil {
+			if err := finish(tx); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -311,34 +315,63 @@ func checkCrashPoint(t *testing.T, s commitShape, servers []*memserver.Server, c
 	return bad
 }
 
-// knownRedCrashPoint names the cuts whose recovered state breaks an
-// invariant today — the reproducing cases of ROADMAP item 4 — and says
-// why. Their subtests skip with the violation while it reproduces and
-// fail once it stops, so a fix cannot leave a stale entry behind.
-//
-// All-ack recovery reads one mirror's undo log and one mirror's commit
-// word (the first that answers) and republishes neither; only quorum
-// recovery elects per slot and republishes. A primary that dies inside
-// the undo batch (writes 0-3) or at the commit word (write 8) leaves
-// those bytes different from mirror to mirror, and they stay different:
-// I1 and I4 hold, I3 does not. The range entries (writes 4-7) are
-// republished by the rollback and recover clean.
-func knownRedCrashPoint(s commitShape, k int64) string {
-	if s.q == 0 && (k < 4 || k == 8) {
-		return "all-ack recovery republishes neither the undo log nor the commit word it read from one mirror"
+// crashCut is one mirror's fate in a crash point: it takes exactly k of
+// the transaction's writes and its link fails. With dies the node itself
+// goes with the link — pings and reads fail too, so the primary degrades
+// it and commits on the others — and with heals it is back, memory
+// intact, before the new node attaches.
+type crashCut struct {
+	mirror      int
+	k           int64
+	dies, heals bool
+}
+
+// runCrashPoint commits the shape's transaction against cuts, lets the
+// primary die, attaches a fresh node to all mirrors and fails on every
+// invariant the recovered state breaks.
+func runCrashPoint(t *testing.T, s commitShape, cuts ...crashCut) {
+	t.Helper()
+	r, tx, before, after := crashPointRig(t, s)
+	for _, c := range cuts {
+		ct, srv := r.cuts[c.mirror], r.servers[c.mirror]
+		ct.failFrom = ct.writes.Load() + c.k + 1
+		if c.dies {
+			ct.onCut = srv.Partition
+		}
 	}
-	return ""
+	err := s.finish(tx)
+	r.net.WaitCatchUp()
+	for _, c := range cuts {
+		if ct := r.cuts[c.mirror]; err == nil && ct.writes.Load() < ct.failFrom {
+			t.Fatalf("the cut at write %d of mirror %d was never reached", c.k, c.mirror)
+		}
+		if c.heals {
+			r.servers[c.mirror].Heal()
+		}
+	}
+	if bad := checkCrashPoint(t, s, r.servers, r.clock, err == nil, before, after); len(bad) != 0 {
+		t.Errorf("commit returned %v; after recovery: %v", err, bad)
+	}
 }
 
 // TestCommitCrashPoints kills the primary after every individual mirror
-// write of a debit-credit transaction — four undo entries, four range
-// entries, the commit word, each batch torn entry by entry — on each
-// mirror independently: mirror m takes exactly k of the transaction's
-// writes and its link fails (the node keeps answering pings, so the
-// primary does not quietly degrade it), the other mirrors take whatever
-// the joined pushes still send them, the commit call returns what it
-// returns, and the primary is gone. A fresh node then attaches to all
-// mirrors.
+// write of a debit-credit transaction — one batch of four undo entries,
+// four range entries and the commit word, torn entry by entry; under
+// Prepare/CommitPrepared a batch of eight and the word — in three
+// enumerations:
+//
+//   - each mirror independently: mirror m takes exactly k of the writes
+//     and its link fails (the node keeps answering pings, so the primary
+//     does not quietly degrade it), the other mirrors take the whole
+//     batch;
+//   - vector cuts: two mirrors torn in the same batch, at every pair of
+//     prefixes;
+//   - mirror death: the node dies at the cut, the primary degrades it
+//     and may commit on the survivors, and the node stays dead or comes
+//     back with its torn prefix before recovery.
+//
+// The commit call returns what it returns, the primary is gone, and a
+// fresh node attaches to all mirrors.
 func TestCommitCrashPoints(t *testing.T) {
 	const perMirror = 9 // 4 undo entries + 4 range entries + the word
 	for _, s := range []commitShape{
@@ -368,26 +401,96 @@ func TestCommitCrashPoints(t *testing.T) {
 			for m := 0; m < s.mirrors; m++ {
 				for k := int64(0); k < perMirror; k++ {
 					t.Run(fmt.Sprintf("mirror%d/write%d", m, k), func(t *testing.T) {
-						r, tx, before, after := crashPointRig(t, s)
-						r.cuts[m].failFrom = r.cuts[m].writes.Load() + k + 1
-						err := s.finish(tx)
-						r.net.WaitCatchUp()
-						if got := r.cuts[m].writes.Load(); err == nil && got < r.cuts[m].failFrom {
-							t.Fatalf("the cut at write %d of mirror %d was never reached", k, m)
-						}
-						bad := checkCrashPoint(t, s, r.servers, r.clock, err == nil, before, after)
-						reason := knownRedCrashPoint(s, k)
-						switch {
-						case reason != "" && len(bad) != 0:
-							t.Skipf("known red (%s): %v", reason, bad)
-						case reason != "":
-							t.Errorf("knownRedCrashPoint lists this cut (%s) but it recovers clean now: drop the entry", reason)
-						case len(bad) != 0:
-							t.Errorf("commit returned %v; after recovery: %v", err, bad)
-						}
+						runCrashPoint(t, s, crashCut{mirror: m, k: k})
+					})
+					t.Run(fmt.Sprintf("mirror%d/write%d/dies", m, k), func(t *testing.T) {
+						runCrashPoint(t, s, crashCut{mirror: m, k: k, dies: true})
+					})
+					t.Run(fmt.Sprintf("mirror%d/write%d/dies-and-returns", m, k), func(t *testing.T) {
+						runCrashPoint(t, s, crashCut{mirror: m, k: k, dies: true, heals: true})
 					})
 				}
 			}
+			for a := 0; a < s.mirrors; a++ {
+				for b := a + 1; b < s.mirrors; b++ {
+					for ka := int64(0); ka < perMirror; ka++ {
+						for kb := int64(0); kb < perMirror; kb++ {
+							t.Run(fmt.Sprintf("mirror%d/write%d+mirror%d/write%d", a, ka, b, kb), func(t *testing.T) {
+								runCrashPoint(t, s, crashCut{mirror: a, k: ka}, crashCut{mirror: b, k: kb})
+							})
+						}
+					}
+				}
+			}
 		})
+	}
+}
+
+// TestRolledBackRecordsNeverRollBackALaterCommit is the recovery-side
+// twin of TestAbortedRecordsNeverRollBackALaterCommit: a transaction that
+// recovery rolled back must not keep valid records at the head of its
+// slot's remote log either. If it did, a second crash before the slot's
+// next commit would roll it back again — over whatever another slot has
+// committed to those bytes in between.
+func TestRolledBackRecordsNeverRollBackALaterCommit(t *testing.T) {
+	r := newRig(t, 2)
+	db := r.mustCreate(t, "db", 256, 0)
+	r.update(t, db, 0, []byte("base"))
+
+	caught, err := r.lib.BeginTx() // slot 0
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := caught.SetRange(db, 0, 4); err != nil {
+		t.Fatal(err)
+	}
+	copy(db.Bytes(), "AAAA")
+	if err := caught.Prepare(); err != nil { // records and bytes out, no word
+		t.Fatal(err)
+	}
+	// The primary is gone; a fresh node takes over.
+	lib, net := attachParallel(t, r.servers, r.clock, 0, 1, nil)
+	defer net.Close()
+	re, err := lib.OpenDB("db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := string(re.Bytes()[:4]); got != "base" {
+		t.Fatalf("first recovery left %q, want the transaction rolled back", got)
+	}
+	if n := lib.RecoveryMetrics().SlotsRolledBack.Load(); n != 1 {
+		t.Errorf("slots rolled back = %d, want 1", n)
+	}
+
+	idle, err := lib.BeginTx() // holds slot 0, writes nothing
+	if err != nil {
+		t.Fatal(err)
+	}
+	winner, err := lib.BeginTx() // slot 1
+	if err != nil {
+		t.Fatal(err)
+	}
+	if idle.Slot() != 0 || winner.Slot() != 1 {
+		t.Fatalf("slots %d and %d, want 0 and 1", idle.Slot(), winner.Slot())
+	}
+	if err := winner.SetRange(re, 0, 4); err != nil {
+		t.Fatal(err)
+	}
+	copy(re.Bytes(), "BBBB")
+	if err := winner.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if mm, err := net.VerifyAll(); err != nil || len(mm) != 0 {
+		t.Fatalf("VerifyAll before the second crash: %v %v", mm, err)
+	}
+
+	lib2, net2 := attachParallel(t, r.servers, r.clock, 0, 1, nil)
+	defer net2.Close()
+	re, err = lib2.OpenDB("db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := string(re.Bytes()[:4]); got != "BBBB" {
+		t.Errorf("recovered %q: the rolled-back transaction's stale before-image rolled back a later commit", got)
 	}
 }

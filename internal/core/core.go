@@ -221,6 +221,12 @@ type Library struct {
 	locks     conflictTable
 	crashed   bool
 	stats     Stats
+	// retire names the transaction-id fields of the log records of
+	// transactions the last recovery rolled back. The records are still
+	// valid at their slots' remote log heads; the first Begin zeroes the
+	// ids and pushes them, before any new transaction can commit to the
+	// bytes they cover (see beginTx).
+	retire []netram.Entry
 
 	// metaMu orders writes to the metadata region's local buffer and its
 	// pushes: per-slot commit words are disjoint bytes, so their writers
@@ -727,6 +733,7 @@ func (l *Library) Crash(fault.CrashKind) error {
 	defer l.mu.Unlock()
 	l.crashed = true
 	l.retireAllLocked()
+	l.retire = nil
 	for _, db := range l.dbs {
 		db.stale = true
 	}

@@ -1,13 +1,16 @@
 package core
 
-// Regression tests for the mirror-divergence bug: a Push/PushMany that
-// fails after reaching a subset of the mirrors used to leave the
-// transaction's bookkeeping as if nothing had been sent, so Abort never
-// repaired the mirrors that *did* apply the write and their copy of the
-// database silently diverged from local memory.
+// Regression tests for the mirror-divergence bug: a push that fails
+// after reaching a subset of the mirrors used to leave the transaction's
+// bookkeeping as if nothing had been sent, so Abort never repaired the
+// mirrors that *did* apply the write and their copy of the database
+// silently diverged from local memory. With the commit a single batch per
+// mirror, "a subset" means one mirror holds the whole transaction, commit
+// word included, beside one that holds none of it.
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -96,6 +99,45 @@ func newDroppyRig(t *testing.T) (*Library, *netram.Client, *droppy, []*memserver
 	return lib, net, dr, servers
 }
 
+// halfLanded fails tx's commit push — and the retry — on mirror 1 after
+// mirror 0 applied the whole batch, commit word included, and checks that
+// the two mirrors are left exactly that far apart: every undo record,
+// every range and the word on one, none of it on the other.
+func halfLanded(t *testing.T, dr *droppy, servers []*memserver.Server, tx *Tx, db *Database, want string) {
+	t.Helper()
+	dr.failNext = 2
+	if err := tx.Commit(); err == nil {
+		t.Fatal("Commit should fail when a mirror drops the batch")
+	}
+	l := tx.l
+	for i, landed := range []bool{true, false} {
+		log, err := servers[i].Read(tx.slot.region.Handle(i).ID, 0, uint32(recordSize(8)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, ok := parseRecord(log, 0); ok != landed {
+			t.Fatalf("mirror %d holds the undo record: %v, want %v", i, ok, landed)
+		}
+		got, err := servers[i].Read(db.region.Handle(i).ID, 0, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (string(got) == want) != landed {
+			t.Fatalf("mirror %d database holds %q, landed = %v", i, got, landed)
+		}
+		word, err := servers[i].Read(l.meta.Handle(i).ID, tx.slot.wordOff, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (binary.BigEndian.Uint64(word) == tx.id) != landed {
+			t.Fatalf("mirror %d commit word is %d, landed = %v", i, binary.BigEndian.Uint64(word), landed)
+		}
+	}
+	if got := binary.BigEndian.Uint64(l.meta.Local[tx.slot.wordOff:]); got == tx.id {
+		t.Error("the local commit word was not rolled back after the failed push")
+	}
+}
+
 func TestAbortRepairsPartialCommitPush(t *testing.T) {
 	lib, net, dr, servers := newDroppyRig(t)
 	db, err := lib.CreateDB("acct", 256)
@@ -109,7 +151,6 @@ func TestAbortRepairsPartialCommitPush(t *testing.T) {
 	if err := lib.InitDB(db); err != nil {
 		t.Fatal(err)
 	}
-	region := db.(*Database).region
 
 	tx, err := lib.BeginTx()
 	if err != nil {
@@ -119,53 +160,33 @@ func TestAbortRepairsPartialCommitPush(t *testing.T) {
 		t.Fatal(err)
 	}
 	copy(db.Bytes(), "deadbeef")
+	halfLanded(t, dr, servers, tx, db.(*Database), "deadbeef")
 
-	// Mirror 1 takes the undo records, then drops the range push and its
-	// retry; mirror 0 has already applied the batch by then, so the
-	// commit fails half-propagated.
-	dr.skip, dr.failNext = 1, 2
-	if err := tx.Commit(); err == nil {
-		t.Fatal("commit should fail when a mirror drops the range push")
-	}
-	got, err := servers[0].Read(region.Handle(0).ID, 0, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "deadbeef" {
-		t.Fatalf("mirror 0 holds %q; the test needs a half-propagated commit", got)
-	}
-
-	// The hiccup clears; Abort must restore local memory AND re-push the
-	// restored bytes to the mirror that applied the failed batch.
+	// The hiccup clears; Abort must restore local memory AND take the
+	// whole batch back from the mirror that applied it: restored bytes,
+	// the previous commit word, the records retired.
 	if err := tx.Abort(); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(db.Bytes()[:8], orig[:8]) {
 		t.Fatal("abort did not restore local memory")
 	}
-	mm, err := net.Verify(region)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(mm) != 0 {
-		t.Fatalf("mirrors diverged after abort: %+v", mm)
-	}
 	if n := lib.Metrics().Repairs.Load(); n != 1 {
 		t.Errorf("repairs counter = %d, want 1", n)
 	}
-	// Undo slots included: the retired log is the same bytes everywhere.
+	// Metadata and undo slots included: the same bytes everywhere.
 	if mm, err := net.VerifyAll(); err != nil || len(mm) != 0 {
 		t.Fatalf("VerifyAll after abort: %+v %v", mm, err)
 	}
 }
 
-// TestCommitKeepsRecordsOnPartialUndoPush is the commit-time form of the
-// rule SetRange used to carry when it pushed each record itself: an undo
-// push that fails after reaching a subset of the mirrors consumes
-// nothing. The records stay where they are in the local log, a further
-// SetRange appends past them, and whoever runs next — a retried Commit
-// or the Abort — sends the whole set again, so the half-reached mirror's
-// log never diverges from the local one.
+// TestCommitKeepsRecordsOnPartialUndoPush: a commit push that fails after
+// reaching a subset of the mirrors consumes nothing. The records stay
+// where they are in the local log, a further SetRange appends past them,
+// and whoever runs next — a retried Commit or the Abort — sends the whole
+// set again, so the half-reached mirror never diverges from the local
+// state: both end with every region, metadata and undo slots included,
+// byte-identical on every mirror.
 func TestCommitKeepsRecordsOnPartialUndoPush(t *testing.T) {
 	for _, finish := range []string{"commit", "abort"} {
 		t.Run(finish, func(t *testing.T) {
@@ -187,36 +208,12 @@ func TestCommitKeepsRecordsOnPartialUndoPush(t *testing.T) {
 				t.Fatal(err)
 			}
 			copy(db.Bytes(), "deadbeef")
-
-			// The undo push reaches mirror 0 and fails, retry included,
-			// on mirror 1: Commit fails before a database byte moves.
-			dr.failNext = 2
-			if err := tx.Commit(); err == nil {
-				t.Fatal("Commit should fail when a mirror drops the undo push")
-			}
-			slot := tx.slot.region
-			for i, want := range []bool{true, false} {
-				log, err := servers[i].Read(slot.Handle(i).ID, 0, uint32(recordSize(8)))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, _, ok := parseRecord(log, 0); ok != want {
-					t.Fatalf("mirror %d holds the record: %v; the test needs a half-propagated undo push", i, ok)
-				}
-				got, err := servers[i].Read(region.Handle(i).ID, 0, 8)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got, make([]byte, 8)) {
-					t.Errorf("mirror %d database holds %q before its undo record is everywhere", i, got)
-				}
-			}
+			halfLanded(t, dr, servers, tx, db.(*Database), "deadbeef")
 			if want := recordSize(8); tx.cursor != want {
-				t.Errorf("cursor = %d after partial undo push, want %d", tx.cursor, want)
+				t.Errorf("cursor = %d after the failed push, want %d", tx.cursor, want)
 			}
-			if len(tx.ranges) != 1 || len(tx.undo) != 1 || tx.undoSent != 0 {
-				t.Errorf("tracked ranges = %d, records = %d, sent = %d; want 1, 1, 0",
-					len(tx.ranges), len(tx.undo), tx.undoSent)
+			if len(tx.ranges) != 1 || len(tx.undo) != 1 {
+				t.Errorf("tracked ranges = %d, records = %d; want 1, 1", len(tx.ranges), len(tx.undo))
 			}
 
 			// After the hiccup clears, a further record appends past the
@@ -249,8 +246,8 @@ func TestCommitKeepsRecordsOnPartialUndoPush(t *testing.T) {
 				if !bytes.Equal(db.Bytes()[:24], make([]byte, 24)) {
 					t.Error("abort did not restore local memory")
 				}
-				if n := lib.Metrics().Repairs.Load(); n != 0 {
-					t.Errorf("repairs counter = %d, want 0: no database byte ever left", n)
+				if n := lib.Metrics().Repairs.Load(); n != 2 {
+					t.Errorf("repairs counter = %d, want 2: both ranges were on the wire", n)
 				}
 			}
 			if mm, err := net.VerifyAll(); err != nil || len(mm) != 0 {

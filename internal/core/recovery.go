@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/ics-forth/perseas/internal/flight"
@@ -13,52 +15,56 @@ import (
 	"github.com/ics-forth/perseas/internal/trace"
 )
 
-// recoveredSlot pairs a reconnected undo-slot region with its committed
-// word as read from the recovered metadata region. Under quorum
-// recovery, committed is the maximum word any reachable mirror holds
-// for the slot and holders lists the mirrors whose metadata snapshot
-// held that maximum (empty in all-ack mode). prefix is how many leading
-// bytes of the winning mirror's log were adopted into the local image —
-// the only bytes the final republish must ship; the tail beyond it is
-// zeroed remotely without a payload.
-type recoveredSlot struct {
-	region    *netram.Region
-	committed uint64
-	holders   []int
-	prefix    uint64
-}
+// Recovery trusts no single mirror. The commit path sends one ordered
+// batch per mirror — undo records, ranges, commit word — and joins on w
+// of n mirrors (w = n is all-ack), so after a crash each mirror holds
+// some prefix of the push order and nothing says which: one may hold a
+// transaction's whole batch beside one that holds none of it. Recovery
+// therefore reads every reachable mirror and elects per undo slot: the
+// maximum commit word (a commit acked by w mirrors is on at least one of
+// any n-w+1) and, among that word's holders — who received everything
+// enqueued before it — the longest log. What it elects becomes the local
+// state and is republished only to the mirrors found to differ, in
+// commit order: log, then data, then word.
 
-// mirrorCopy is one reachable mirror's snapshot of the metadata region,
-// taken at the start of a quorum recovery. A crash can leave mirrors at
-// different prefixes of the push stream, so no single copy can be
-// trusted for the commit words.
+// mirrorCopy is one reachable mirror's copy of the metadata region, read
+// when recovery starts.
 type mirrorCopy struct {
 	idx int
 	buf []byte
 }
 
-// fetchMetaCopies snapshots the metadata region from every reachable
-// mirror, up to workers at a time. Quorum recovery needs at least n-w+1
-// copies: a commit word acked by w of n mirrors is then guaranteed to
-// appear in at least one snapshot, so taking the per-slot maximum over
-// the copies recovers every quorum-committed word.
-func (l *Library) fetchMetaCopies(meta *netram.Region, workers int) ([]mirrorCopy, error) {
+// recoveredSlot pairs a reconnected undo-slot region with what the
+// election settled for it. committed is the slot's commit word: the
+// maximum any reachable mirror holds, or a coordinator decision that
+// outranks it. holders are the mirrors whose copy held that maximum —
+// the candidates for the log election; lacking are the reachable mirrors
+// whose word is not committed, which are sent the word and, when the
+// slot's head transaction is the committed one, its ranges.
+type recoveredSlot struct {
+	region    *netram.Region
+	committed uint64
+	holders   []int
+	lacking   []int
+}
+
+// fetchMetaCopies reads the metadata region from every mirror at once.
+// Recovery needs at least n-w+1 copies: a commit word acked by w of n
+// mirrors is then guaranteed to appear in at least one, so the per-slot
+// maximum over the copies recovers every committed word.
+func (l *Library) fetchMetaCopies(meta *netram.Region) ([]mirrorCopy, error) {
 	n := l.net.Mirrors()
-	w := l.net.Quorum()
+	w := n
+	if q := l.net.Quorum(); q > 0 {
+		w = q
+	}
 	bufs := make([][]byte, n)
 	errs := make([]error, n)
 	// Unreachable mirrors are expected here — they are why recovery is
 	// running — so a fetch failure is recorded per index, never returned,
 	// and the remaining mirrors are always tried.
-	_ = netram.ForEach(workers, n, func(i int) error {
-		data, err := l.net.FetchMirror(i, meta, 0, meta.Size())
-		if err != nil {
-			errs[i] = err
-			return nil
-		}
-		buf := make([]byte, len(data))
-		copy(buf, data)
-		bufs[i] = buf
+	_ = netram.ForEach(n, n, func(i int) error {
+		bufs[i], errs[i] = l.net.FetchMirror(i, meta, 0, meta.Size())
 		return nil
 	})
 	copies := make([]mirrorCopy, 0, n)
@@ -71,226 +77,91 @@ func (l *Library) fetchMetaCopies(meta *netram.Region, workers int) ([]mirrorCop
 		copies = append(copies, mirrorCopy{idx: i, buf: bufs[i]})
 	}
 	if len(copies) < n-w+1 {
-		return nil, fmt.Errorf("perseas: quorum recovery reached %d of %d metadata copies, needs %d to cover every %d-ack commit: %w",
+		return nil, fmt.Errorf("perseas: recovery reached %d of %d metadata copies, needs %d to cover every %d-ack commit: %w",
 			len(copies), n, n-w+1, w, lastErr)
 	}
 	return copies, nil
 }
 
 // repairOp is one undo slot's staged crash repair. forward means the
-// slot's head transaction is committed (its id equals the slot's merged
-// commit word, or a coordinator decided it) but may not have reached
-// every mirror: its modified ranges are re-fetched from the winner
-// mirror and re-published. Otherwise the head transaction is in flight
-// and its before-images roll it back. holders counts the mirrors whose
-// snapshot held the slot's merged word — because every mirror receives
-// the push stream in the same order, holder sets of different commit
-// words are nested, so a larger holder set means the word was enqueued
-// earlier: sorting forward repairs by descending holder count replays
-// committed overlaps in true commit order even when transaction ids
-// (assigned at Begin) disagree with it.
+// slot's head transaction is committed (its id equals the slot's elected
+// commit word, or a coordinator decided it) but has not reached every
+// mirror: its modified ranges are re-fetched from the winner mirror and
+// sent to the mirrors lacking the word. Otherwise the head transaction
+// is in flight and its before-images roll it back everywhere. holders
+// counts the mirrors whose copy held the slot's word — because every
+// mirror receives the push stream in the same order, holder sets of
+// different commit words are nested, so a larger holder set means the
+// word was enqueued earlier: sorting forward repairs by descending
+// holder count replays committed overlaps in true commit order even when
+// transaction ids (assigned at Begin) disagree with it.
 type repairOp struct {
 	slot    int
 	forward bool
-	txID    uint64
 	winner  int
 	holders int
 	recs    []undoRecord
 }
 
-// scanMirrorUndoLog parses mirror m's copy of an undo-slot region
-// without touching the region's local buffer, fetching lazily in
-// chunks. The buffer grows with the fetched prefix instead of being
-// sized for the whole region up front, so scanning every holder of
-// every slot allocates proportionally to the records actually written,
-// not mirrors × slots × region size. The returned records alias buf;
-// fetched is how many leading bytes of the mirror's log were
-// materialised.
-func (l *Library) scanMirrorUndoLog(m int, region *netram.Region, committed uint64) (recs []undoRecord, buf []byte, fetched uint64, err error) {
-	size := region.Size()
-	ensure := func(n uint64) ([]byte, error) {
-		if n > size {
-			n = size
-		}
-		if n <= fetched {
-			return buf, nil
-		}
-		target := (n + undoChunk - 1) / undoChunk * undoChunk
-		if target > size {
-			target = size
-		}
-		if uint64(len(buf)) < target {
-			grow := uint64(2 * len(buf))
-			if grow < target {
-				grow = target
-			}
-			if grow > size {
-				grow = size
-			}
-			grown := make([]byte, grow)
-			copy(grown, buf[:fetched])
-			buf = grown
-		}
-		data, ferr := l.net.FetchMirror(m, region, fetched, target-fetched)
-		if ferr != nil {
-			return nil, fmt.Errorf("perseas: fetch undo log from mirror %d: %w", m, ferr)
-		}
-		copy(buf[fetched:], data)
-		fetched = target
-		return buf, nil
-	}
-	recs, err = scanUndoLogLazy(committed, size, ensure)
-	return recs, buf, fetched, err
+// slotLog is one mirror's copy of one undo slot, read lazily, chunk by
+// chunk, as far as the scan for the head transaction's records needs
+// it: most crashes leave a handful of records per slot, so recovery
+// transfers kilobytes, not the whole undo region. buf is the prefix
+// materialised so far; it grows with the reads instead of being sized
+// for the region up front, so reading every mirror's copy of every slot
+// allocates in proportion to the records actually written. recs alias
+// it (or an earlier, shorter incarnation that keeps its bytes).
+type slotLog struct {
+	l      *Library
+	mirror int
+	region *netram.Region
+	chunk  uint64
+	buf    []byte
+	recs   []undoRecord
+	err    error
+	// differs marks a log found to differ from the slot's elected one.
+	differs bool
 }
 
-// planSlotRepair decides how quorum recovery settles undo slot k. Every
-// mirror receives the slot's pushes in enqueue order, so each mirror's
-// log is a prefix of the slot's true record sequence; the scan with the
-// lowest threshold that still admits the head transaction (word-1)
-// makes a committed-but-possibly-lagging head visible. Among the
-// slot's word holders the log with the highest head id, then the most
-// records, is the longest prefix — it contains every record that has
-// data anywhere. Its bytes become the local view of the slot; the
-// returned prefix is how many of them were materialised, which is all
-// the final republish needs to ship.
-func (l *Library) planSlotRepair(k int, rs recoveredSlot) (*repairOp, uint64, error) {
-	threshold := rs.committed
-	if threshold > 0 {
-		threshold--
+// ensure materialises at least the log's first n bytes, reading whole
+// chunks, and returns the buffer holding them.
+func (lg *slotLog) ensure(n uint64) ([]byte, error) {
+	size, have := lg.region.Size(), uint64(len(lg.buf))
+	target := min((n+lg.chunk-1)/lg.chunk*lg.chunk, size)
+	if target <= have {
+		return lg.buf, nil
 	}
-	bestN := -1
-	var bestHead, bestFetched uint64
-	var bestWinner int
-	var bestRecs []undoRecord
-	var bestBuf []byte
-	var lastErr error
-	for _, m := range rs.holders {
-		recs, buf, fetched, err := l.scanMirrorUndoLog(m, rs.region, threshold)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		head := uint64(0)
-		if len(recs) > 0 {
-			head = recs[0].txID
-		}
-		if bestN < 0 || head > bestHead || (head == bestHead && len(recs) > bestN) {
-			bestHead, bestN, bestWinner = head, len(recs), m
-			bestRecs, bestBuf, bestFetched = recs, buf, fetched
-		}
+	data, err := lg.l.net.FetchMirror(lg.mirror, lg.region, have, target-have)
+	if err != nil {
+		return nil, fmt.Errorf("perseas: fetch undo log from mirror %d: %w", lg.mirror, err)
 	}
-	if bestN < 0 {
-		return nil, 0, fmt.Errorf("perseas: undo slot %d unreadable on every quorum-current mirror: %w", k, lastErr)
+	if have == 0 {
+		lg.buf = data // the transport's buffer is ours to keep
+	} else {
+		lg.buf = append(lg.buf, data...)
 	}
-	copy(rs.region.Local[:bestFetched], bestBuf[:bestFetched])
-	if bestN == 0 {
-		return nil, bestFetched, nil
-	}
-	return &repairOp{
-		slot:    k,
-		forward: bestHead == rs.committed,
-		txID:    bestHead,
-		winner:  bestWinner,
-		holders: len(rs.holders),
-		recs:    bestRecs,
-	}, bestFetched, nil
+	return lg.buf, nil
 }
 
-// lazyFetcher returns an ensure(n) callback that materialises region
-// bytes [0,n) on demand, chunk by chunk: most crashes leave only a
-// handful of records per slot, so recovery transfers kilobytes, not the
-// whole undo region.
-func (l *Library) lazyFetcher(region *netram.Region) func(uint64) ([]byte, error) {
-	var fetched uint64
-	return func(n uint64) ([]byte, error) {
-		if n > region.Size() {
-			n = region.Size()
-		}
-		if n <= fetched {
-			return region.Local, nil
-		}
-		target := (n + undoChunk - 1) / undoChunk * undoChunk
-		if target > region.Size() {
-			target = region.Size()
-		}
-		if err := l.net.FetchInto(region, fetched, target-fetched); err != nil {
-			return nil, fmt.Errorf("perseas: fetch undo log: %w", err)
-		}
-		fetched = target
-		return region.Local, nil
+// head is the id of the transaction whose records open the log.
+func (lg *slotLog) head() uint64 {
+	if len(lg.recs) == 0 {
+		return 0
 	}
+	return lg.recs[0].txID
 }
 
-// mergeSlotWord settles slot k's commit word after the crash. All-ack
-// mode trusts the fetched metadata copy. Quorum mode merges the word
-// across the mirror snapshots by maximum — a commit acked by w mirrors
-// is on at least one snapshot — and republishes it if any mirror
-// lagged; the returned holders are the mirrors whose snapshot held the
-// winning word. A coordinator decision that outranks the merged word is
-// published the same way, so the decided transaction counts as
-// committed on this shard instead of being rolled back.
-func (l *Library) mergeSlotWord(meta *netram.Region, k int, committed0 uint64, q int, metaCopies []mirrorCopy, decided map[int]uint64) (uint64, []int, error) {
-	word := committed0
-	if k > 0 {
-		word = binary.BigEndian.Uint64(meta.Local[slotWordOffset(meta.Size(), k):])
+// diffSpan returns the smallest span [lo,hi) of want outside which have,
+// at least as long, holds the same bytes.
+func diffSpan(have, want []byte) (lo, hi uint64) {
+	i, j := 0, len(want)
+	for i < j && have[i] == want[i] {
+		i++
 	}
-	var holders []int
-	if q > 0 {
-		// Merge the slot's word across the snapshots: a commit that
-		// reached its quorum is on at least one of them. Mirrors
-		// holding the maximum are the slot's repair candidates — the
-		// word is enqueued after the head transaction's records and
-		// data, so a word holder has all of them.
-		wordOff := slotWordOffset(meta.Size(), k)
-		merged := word
-		for _, mc := range metaCopies {
-			if w := binary.BigEndian.Uint64(mc.buf[wordOff:]); w > merged {
-				merged = w
-			}
-		}
-		stale := false
-		for _, mc := range metaCopies {
-			if binary.BigEndian.Uint64(mc.buf[wordOff:]) == merged {
-				holders = append(holders, mc.idx)
-			} else {
-				stale = true
-			}
-		}
-		if len(holders) == 0 {
-			for _, mc := range metaCopies {
-				holders = append(holders, mc.idx)
-			}
-		}
-		if merged != word || stale {
-			binary.BigEndian.PutUint64(meta.Local[wordOff:], merged)
-			if err := l.net.PushAcked(meta, wordOff, 8); err != nil {
-				return 0, nil, fmt.Errorf("perseas: republish commit word of slot %d: %w", k, err)
-			}
-			word = merged
-		}
+	for j > i && have[j-1] == want[j-1] {
+		j--
 	}
-	if d := decided[k]; d > word {
-		// The coordinator decided this slot's head transaction
-		// committed but the crash beat the word push. Publish the
-		// word now, before the rollback scan, so the scan treats the
-		// transaction's records as committed.
-		wordOff := slotWordOffset(meta.Size(), k)
-		binary.BigEndian.PutUint64(meta.Local[wordOff:], d)
-		if err := l.net.PushAcked(meta, wordOff, 8); err != nil {
-			return 0, nil, fmt.Errorf("perseas: publish decided commit word: %w", err)
-		}
-		word = d
-		if q > 0 {
-			// No snapshot holds the decided word, but the prepared
-			// data behind a decision is always pushed fully acked,
-			// so any reachable mirror can serve the repair.
-			holders = holders[:0]
-			for _, mc := range metaCopies {
-				holders = append(holders, mc.idx)
-			}
-		}
-	}
-	return word, holders, nil
+	return uint64(i), uint64(j)
 }
 
 // Recover implements engine.Engine: the paper's Section 3/4 recovery
@@ -310,17 +181,21 @@ func (l *Library) mergeSlotWord(meta *netram.Region, k int, committed0 uint64, q
 // transactions hold disjoint ranges, so the rollback order across slots
 // does not matter — which is also what lets WithRecoveryParallelism
 // scan and roll back slots concurrently without changing the outcome.
+// Where the paper reads its one mirror, this reads every reachable one and
+// elects each slot's commit word and log among them (see the top of this
+// file); mirrors found to differ from what was elected are brought to it.
 func (l *Library) Recover() error {
 	return l.RecoverWithDecisions(nil)
 }
 
 // RecoverWithDecisions is Recover plus a coordinator's verdicts: decided
 // maps an undo-slot index to a transaction id a cross-shard coordinator
-// recorded as committed. A decided id that outranks the slot's recovered
+// recorded as committed. A decided id that outranks the slot's elected
 // commit word means the commit-word push lost a race with the crash
-// after the decision became durable; recovery publishes the word itself
-// before the rollback scan, so the transaction's records count as
-// committed on this shard instead of being rolled back. Stale decisions
+// after the decision became durable; recovery takes the decided id for
+// the slot's word and sends it to every mirror, so the transaction's
+// records count as committed on this shard instead of being rolled back.
+// Stale decisions
 // (id not above the recovered word) are no-ops, so replaying an old
 // decision record is always safe.
 func (l *Library) RecoverWithDecisions(decided map[int]uint64) error {
@@ -347,74 +222,77 @@ func (l *Library) RecoverWithDecisions(decided map[int]uint64) error {
 }
 
 // recovery carries one run of the procedure from phase to phase: what
-// the metadata said, the regions reconnected so far, and the repairs
-// the slot scan staged. Every phase spreads its independent units —
-// metadata snapshots, slot reconnects and scans, database fetches,
-// winner fetches, repair publishes — over netram.ForEach at the
-// configured width, and database fetches additionally stripe read
-// chunks across the surviving mirrors; at width 1 (the default) that is
-// the same pipeline run inline on the caller's goroutine. The recovered
+// the metadata said, the regions reconnected so far, the repairs the
+// slot scan staged and what each mirror was found to lack. The phases are
+// the same at every quorum — all-ack is w = n — and every width. The
+// per-mirror reads of one unit (the metadata copies, one slot's logs)
+// always run side by side; beyond that every phase spreads its
+// independent units — slot reconnects and scans, database fetches,
+// winner fetches, per-mirror republishes — over netram.ForEach at the
+// configured width, and database fetches additionally stripe read chunks
+// across the surviving mirrors; at width 1 (the default) that is the
+// same pipeline run inline on the caller's goroutine. The recovered
 // state is byte-identical at every width: slots hold disjoint ranges,
-// staged repairs apply serially in commit order, and every publish
+// staged repairs apply serially in commit order, and every republish
 // ships final local bytes.
 type recovery struct {
 	l       *Library
 	root    trace.InfraSpan
 	workers int
-	q       int
 	decided map[int]uint64
 
 	// meta_fetch
 	meta         *netram.Region
-	committed0   uint64
+	copies       []mirrorCopy
 	undoSize     uint64
 	storedNextID uint32
 	entries      []dirEntry
-	metaCopies   []mirrorCopy
 	// slot_connect, db_fetch
 	slots []recoveredSlot
 	dbs   map[string]*Database
 	byID  map[uint32]*Database
 	maxID uint32
-	// slot_scan: rollbacks holds each all-ack slot's in-flight records,
-	// repairs each quorum slot's staged repair.
+	// slot_scan, repair
 	committed uint64
 	lastTxID  uint64
-	rollbacks []repairOp
 	repairs   []repairOp
+	retire    []netram.Entry
+	// stale[i] is what mirror i was found to lack, filled phase by phase.
+	stale []staleMirror
+}
+
+// staleMirror is one reachable mirror's share of the republish: the
+// entries it is sent as one batch in commit order — log spans, then
+// data, then commit words — and the slot logs whose tail beyond the
+// elected prefix is cleared afterwards.
+type staleMirror struct {
+	logs, data, words []netram.Entry
+	tails             []netram.Entry
 }
 
 // recoverLocked is the recovery procedure proper: a fixed sequence of
-// phases whose only variable is the width.
+// phases whose only variables are the quorum and the width.
 func (l *Library) recoverLocked(root trace.InfraSpan, workers int, decided map[int]uint64) error {
-	rc := &recovery{l: l, root: root, workers: workers, q: l.net.Quorum(), decided: decided}
+	rc := &recovery{l: l, root: root, workers: workers, decided: decided, stale: make([]staleMirror, l.net.Mirrors())}
 	m := &l.recMetrics
-	if err := rc.step("meta_fetch", &m.MetaFetch, rc.metaFetch); err != nil {
-		return err
-	}
-	if err := rc.step("slot_connect", &m.SlotConnect, rc.slotConnect); err != nil {
-		return err
-	}
-	if err := rc.step("db_fetch", &m.DBFetch, rc.dbFetch); err != nil {
-		return err
-	}
-	if err := rc.step("slot_scan", &m.SlotScan, rc.slotScan); err != nil {
-		return err
+	for _, ph := range []struct {
+		name string
+		h    *obs.Histogram
+		run  func() error
+	}{
+		{"meta_fetch", &m.MetaFetch, rc.metaFetch},
+		{"slot_connect", &m.SlotConnect, rc.slotConnect},
+		{"db_fetch", &m.DBFetch, rc.dbFetch},
+		{"slot_scan", &m.SlotScan, rc.slotScan},
+		{"repair", &m.Repair, rc.repair},
+		{"republish", &m.Republish, rc.republish},
+	} {
+		if err := rc.step(ph.name, ph.h, ph.run); err != nil {
+			return err
+		}
 	}
 	rc.install()
-	if err := rc.step("rollback", &m.Rollback, rc.rollback); err != nil {
-		return err
-	}
-	if len(rc.repairs) > 0 {
-		if err := rc.step("quorum_repair", &m.Repair, rc.quorumRepair); err != nil {
-			return err
-		}
-	}
-	if rc.q > 0 {
-		if err := rc.step("undo_republish", &m.Republish, rc.undoRepublish); err != nil {
-			return err
-		}
-	}
+	l.retire = rc.retire
 	l.committed = rc.committed
 	l.lastTxID = rc.lastTxID
 	l.txs = make(map[*Tx]struct{})
@@ -439,8 +317,10 @@ func (rc *recovery) step(name string, h *obs.Histogram, phase func() error) erro
 	return err
 }
 
-// metaFetch reconnects the metadata region, fetches the directory, and —
-// under quorum — snapshots the metadata from every reachable mirror.
+// metaFetch reconnects the metadata region and reads every reachable
+// mirror's copy of it, once. The lowest-numbered copy is the base: the
+// directory is always pushed fully acked, so any copy is authoritative
+// for everything but the commit words, which slotConnect elects.
 func (rc *recovery) metaFetch() error {
 	l := rc.l
 	var err error
@@ -448,33 +328,23 @@ func (rc *recovery) metaFetch() error {
 	if err != nil {
 		return fmt.Errorf("perseas: reconnect metadata: %w", err)
 	}
-	if err := l.net.FetchInto(rc.meta, 0, rc.meta.Size()); err != nil {
+	if rc.copies, err = l.fetchMetaCopies(rc.meta); err != nil {
 		return fmt.Errorf("perseas: fetch metadata: %w", err)
 	}
-	rc.committed0, rc.undoSize, rc.storedNextID, rc.entries, err = readDirectory(rc.meta.Local)
-	if err != nil {
-		return err
-	}
-	if rc.q > 0 {
-		// Quorum mode: the commit words on the fetched copy may lag
-		// other mirrors, so snapshot the metadata from every reachable
-		// mirror and merge each slot's word by maximum later. The
-		// directory itself is always pushed fully acked, so the base
-		// copy is authoritative for everything but the words.
-		rc.metaCopies, err = l.fetchMetaCopies(rc.meta, rc.workers)
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	copy(rc.meta.Local, rc.copies[0].buf)
+	_, rc.undoSize, rc.storedNextID, rc.entries, err = readDirectory(rc.meta.Local)
+	return err
 }
 
-// slotConnect reconnects every undo slot and settles its commit word.
+// slotConnect reconnects every undo slot and elects its commit word.
 // Slot 0 always exists; further slots were allocated on demand by past
 // concurrency and are found by probing their names — the connected
 // prefix is the slot set, and at width 1 the probe stops at the first
-// missing name. Word settlement is serial at every width: it is a
-// handful of 8-byte writes and its meta.Local updates must not race.
+// missing name. The election is local: the maximum over the copies — a
+// commit that reached its quorum is on at least one of them — or a
+// coordinator decision that outranks it, which makes the decided
+// transaction count as committed on this shard instead of being rolled
+// back. Every mirror whose copy says otherwise is owed the word.
 func (rc *recovery) slotConnect() error {
 	l := rc.l
 	names := make([]string, maxUndoSlots)
@@ -490,11 +360,34 @@ func (rc *recovery) slotConnect() error {
 			return fmt.Errorf("perseas: undo slot %d size %d does not match metadata %d",
 				k, region.Size(), rc.undoSize)
 		}
-		word, holders, err := l.mergeSlotWord(rc.meta, k, rc.committed0, rc.q, rc.metaCopies, rc.decided)
-		if err != nil {
-			return err
+		wordOff := slotWordOffset(rc.meta.Size(), k)
+		rs := recoveredSlot{region: region}
+		words := make([]uint64, len(rc.copies))
+		for i, mc := range rc.copies {
+			words[i] = binary.BigEndian.Uint64(mc.buf[wordOff:])
+			rs.committed = max(rs.committed, words[i])
 		}
-		rc.slots = append(rc.slots, recoveredSlot{region: region, committed: word, holders: holders})
+		// A word holder has everything enqueued before the word: the head
+		// transaction's records and data, when the word is its own.
+		for i, mc := range rc.copies {
+			if words[i] == rs.committed {
+				rs.holders = append(rs.holders, mc.idx)
+			}
+		}
+		// No copy holds a decided word, but the prepared data behind a
+		// decision was pushed fully acked: the election above still names
+		// the mirrors that can serve the repair, and every mirror is owed
+		// the word and the data.
+		rs.committed = max(rs.committed, rc.decided[k])
+		binary.BigEndian.PutUint64(rc.meta.Local[wordOff:], rs.committed)
+		for i, mc := range rc.copies {
+			if words[i] != rs.committed {
+				rs.lacking = append(rs.lacking, mc.idx)
+				rc.stale[mc.idx].words = append(rc.stale[mc.idx].words,
+					netram.Entry{Region: rc.meta, Range: netram.Range{Offset: wordOff, Length: 8}})
+			}
+		}
+		rc.slots = append(rc.slots, rs)
 	}
 	return nil
 }
@@ -542,26 +435,27 @@ func (rc *recovery) dbFetch() error {
 	return nil
 }
 
-// slotScan scans each slot's remote undo log for its head transaction's
-// records. Slots hold disjoint ranges and each scan touches only its own
-// region, so the scans are independent; the aggregation runs in slot
-// order, keeping the repair lists and the id re-seed deterministic. The
-// largest id seen anywhere — commit words and log records — re-seeds
+// slotScan reads each slot's log from every reachable mirror, elects the
+// one to adopt, and stages the head transaction's repair. Every mirror
+// receives a slot's pushes in enqueue order, so each mirror's log is a
+// prefix of the slot's true record sequence; scanning from the lowest
+// threshold that still admits the head transaction (word-1) makes a
+// committed head visible. Among the slot's word holders the log with the
+// highest head id, then the most records, is the longest prefix — it
+// contains every record that has data anywhere. Its fetched bytes become
+// the local view of the slot, and every mirror whose fetched bytes differ
+// is owed the differing span and a cleared tail: a future scan treats
+// zeros as log end, and a stale divergent tail must not survive into the
+// next crash's election. Slots hold disjoint ranges and each scan touches
+// only its own region, so the scans are independent; the aggregation runs
+// in slot order, keeping the repair list and the id re-seed deterministic.
+// The largest id seen anywhere — commit words and log records — re-seeds
 // the transaction-id counter.
 func (rc *recovery) slotScan() error {
-	l := rc.l
-	ops := make([]*repairOp, len(rc.slots))
-	if err := netram.ForEach(rc.workers, len(rc.slots), func(k int) error {
-		rs := &rc.slots[k]
-		if rc.q > 0 {
-			var err error
-			ops[k], rs.prefix, err = l.planSlotRepair(k, *rs)
-			return err
-		}
-		recs, err := scanUndoLogLazy(rs.committed, rs.region.Size(), l.lazyFetcher(rs.region))
-		if len(recs) > 0 {
-			ops[k] = &repairOp{slot: k, recs: recs}
-		}
+	logs := make([][]slotLog, len(rc.slots))
+	winner := make([]int, len(rc.slots))
+	if err := netram.ForEach(rc.workers, len(rc.slots), func(k int) (err error) {
+		logs[k], winner[k], err = rc.electLog(k)
 		return err
 	}); err != nil {
 		return err
@@ -569,20 +463,96 @@ func (rc *recovery) slotScan() error {
 	for k, rs := range rc.slots {
 		rc.committed = max(rc.committed, rs.committed)
 		rc.lastTxID = max(rc.lastTxID, rs.committed)
-		op := ops[k]
-		if op == nil {
+		won := &logs[k][winner[k]]
+		owed := len(rs.lacking) > 0
+		for i := range logs[k] {
+			lg := &logs[k][i]
+			if !lg.differs || lg.err != nil {
+				continue // agrees; or unreadable now, and not written either
+			}
+			owed = true
+			st := &rc.stale[lg.mirror]
+			lo, hi := diffSpan(lg.buf, won.buf)
+			st.logs = append(st.logs, netram.Entry{Region: rs.region, Range: netram.Range{Offset: lo, Length: hi - lo}, Exact: true})
+			if tail := uint64(len(won.buf)); tail < rs.region.Size() {
+				st.tails = append(st.tails, netram.Entry{Region: rs.region, Range: netram.Range{Offset: tail, Length: rs.region.Size() - tail}})
+			}
+		}
+		if owed {
+			rc.l.recMetrics.SlotsRepublished.Inc()
+		}
+		if len(won.recs) == 0 {
 			continue
 		}
-		for _, rec := range op.recs {
+		for _, rec := range won.recs {
 			rc.lastTxID = max(rc.lastTxID, rec.txID)
 		}
-		if rc.q > 0 {
-			rc.repairs = append(rc.repairs, *op)
-		} else {
-			rc.rollbacks = append(rc.rollbacks, *op)
-		}
+		rc.repairs = append(rc.repairs, repairOp{
+			slot:    k,
+			forward: won.head() == rs.committed,
+			winner:  won.mirror,
+			holders: len(rs.holders),
+			recs:    won.recs,
+		})
 	}
 	return nil
+}
+
+// electLog scans slot k's log on every reachable mirror, side by side,
+// and adopts the longest prefix among the word holders' into the local
+// region. It returns the logs and the winner's index. The first mirror
+// is read in undoChunk pieces, as a lone mirror always was — its prefix
+// is the local image unless another wins, and that one is then read as
+// far — and the others in undoProbe pieces, as far as the scan for their
+// head transaction goes: mirrors that agree on what they were read
+// agree on the slot. One that does not is read up to the winner's
+// prefix, so that it can be sent exactly the span that differs.
+func (rc *recovery) electLog(k int) ([]slotLog, int, error) {
+	rs := &rc.slots[k]
+	threshold := rs.committed
+	if threshold > 0 {
+		threshold--
+	}
+	logs := make([]slotLog, len(rc.copies))
+	_ = netram.ForEach(len(logs), len(logs), func(i int) error {
+		lg := &logs[i]
+		*lg = slotLog{l: rc.l, mirror: rc.copies[i].idx, region: rs.region, chunk: undoProbe}
+		if i == 0 {
+			lg.chunk = undoChunk
+		}
+		lg.recs, lg.err = scanUndoLogLazy(threshold, rs.region.Size(), lg.ensure)
+		return nil
+	})
+	best := -1
+	var lastErr error
+	for i := range logs {
+		lg := &logs[i]
+		switch {
+		case lg.err != nil:
+			lastErr = lg.err
+		case !slices.Contains(rs.holders, lg.mirror):
+		case best < 0, lg.head() > logs[best].head(),
+			lg.head() == logs[best].head() && len(lg.recs) > len(logs[best].recs):
+			best = i
+		}
+	}
+	if best < 0 {
+		return nil, 0, fmt.Errorf("perseas: undo slot %d unreadable on every mirror holding its commit word: %w", k, lastErr)
+	}
+	won := &logs[best]
+	won.chunk = undoChunk
+	if _, err := won.ensure(uint64(len(won.buf))); err != nil {
+		return nil, 0, err
+	}
+	for i := range logs {
+		lg := &logs[i]
+		if n := min(len(lg.buf), len(won.buf)); i != best && lg.err == nil && !bytes.Equal(lg.buf[:n], won.buf[:n]) {
+			lg.differs = true
+			_, lg.err = lg.ensure(uint64(len(won.buf)))
+		}
+	}
+	copy(rs.region.Local, won.buf)
+	return logs, best, nil
 }
 
 // install points the library at the reconnected regions.
@@ -613,19 +583,31 @@ func (rc *recovery) install() {
 	l.dirEnd = directoryEnd(rc.entries)
 }
 
-// rollback rolls back each all-ack slot's in-flight transaction: the
-// original data found in the remote undo log are copied back over the
-// illegal updates, locally and on the mirrors. Concurrent transactions
-// hold disjoint ranges, so the order across slots does not matter.
-func (rc *recovery) rollback() error {
-	return rc.repair(rc.rollbacks)
+// restore is one undo record's repair of the local image: image holds
+// the record's before-image for a rollback, or the winner mirror's
+// current bytes of the range for a forward repair.
+type restore struct {
+	db    *Database
+	rec   undoRecord
+	op    *repairOp
+	image []byte
 }
 
-// quorumRepair settles the quorum slots' head transactions. Forward
-// repairs apply in commit order (descending holder count — see
-// repairOp); rollbacks apply last, because an in-flight claim is always
-// the newest writer of its bytes.
-func (rc *recovery) quorumRepair() error {
+// repair settles the slots' head transactions against the local images
+// and stages what each mirror is owed. Forward repairs apply in commit
+// order (descending holder count — see repairOp), each newest record
+// first; rollbacks apply last, because an in-flight claim is always the
+// newest writer of its bytes. A committed head every reachable mirror
+// holds the word of is whole everywhere — the word is the last entry of
+// its batch — and needs nothing. Nothing is written here: every winner's
+// bytes are fetched before the republish touches a mirror, so one slot's
+// repair can never clobber bytes another slot still needs to read.
+// Ranges within a transaction may overlap, so what a mirror is sent for
+// a range is its final local bytes — the bytes per-record pushes would
+// have converged on: a rolled-back range goes to every reachable mirror,
+// a forward-repaired one to the mirrors lacking the slot's word.
+func (rc *recovery) repair() error {
+	l := rc.l
 	sort.SliceStable(rc.repairs, func(i, j int) bool {
 		a, b := rc.repairs[i], rc.repairs[j]
 		if a.forward != b.forward {
@@ -633,35 +615,29 @@ func (rc *recovery) quorumRepair() error {
 		}
 		return a.forward && a.holders > b.holders
 	})
-	return rc.repair(rc.repairs)
-}
-
-// restore is one undo record's repair of the local image: image holds
-// the record's before-image for a rollback, or the winner mirror's
-// current bytes of the range for a forward repair.
-type restore struct {
-	db     *Database
-	rec    undoRecord
-	winner int
-	image  []byte
-}
-
-// repair applies ops in order, each newest record first, against the
-// local images and then publishes the result. Everything is staged
-// before any mirror is written: writes begin only after every winner's
-// bytes were fetched, so one slot's repair can never clobber bytes
-// another slot still needs to read (the mirrors are untouched until
-// the publish, so fetching the winners concurrently reads the same
-// bytes). Ranges within a transaction may overlap, so the publish ships
-// each database's final local bytes as one batch joined on every
-// mirror — the bytes per-record pushes would have converged on.
-func (rc *recovery) repair(ops []repairOp) error {
-	l := rc.l
 	var steps []restore
 	var fetches []int
-	for _, op := range ops {
-		for i := len(op.recs) - 1; i >= 0; i-- {
-			rec := op.recs[i]
+	for i := range rc.repairs {
+		op := &rc.repairs[i]
+		switch {
+		case !op.forward:
+			l.recMetrics.SlotsRolledBack.Inc()
+			l.flightRec.Record(flight.RecoveryRepair, "core", "head transaction rolled back", uint64(op.slot))
+			// Its records stay valid at the slot's log head on the
+			// mirrors until the first Begin retires them (Library.retire).
+			var cursor uint64
+			for _, rec := range op.recs {
+				rc.retire = append(rc.retire, netram.Entry{Region: rc.slots[op.slot].region, Range: netram.Range{Offset: cursor, Length: 8}})
+				cursor += recordSize(rec.length)
+			}
+		case len(rc.slots[op.slot].lacking) == 0:
+			continue
+		default:
+			l.recMetrics.SlotsForward.Inc()
+			l.flightRec.Record(flight.RecoveryRepair, "core", "committed head transaction repaired forward", uint64(op.slot))
+		}
+		for j := len(op.recs) - 1; j >= 0; j-- {
+			rec := op.recs[j]
 			db, ok := rc.byID[rec.dbID]
 			if !ok {
 				// The record references a database dropped after the
@@ -673,63 +649,63 @@ func (rc *recovery) repair(ops []repairOp) error {
 			}
 			if op.forward {
 				fetches = append(fetches, len(steps))
-				steps = append(steps, restore{db: db, rec: rec, winner: op.winner})
+				steps = append(steps, restore{db: db, rec: rec, op: op})
 			} else {
-				steps = append(steps, restore{db: db, rec: rec, image: rec.data})
+				steps = append(steps, restore{db: db, rec: rec, op: op, image: rec.data})
 			}
 		}
 	}
 	if err := netram.ForEach(rc.workers, len(fetches), func(n int) error {
 		st := &steps[fetches[n]]
-		data, err := l.net.FetchMirror(st.winner, st.db.region, st.rec.offset, st.rec.length)
+		data, err := l.net.FetchMirror(st.op.winner, st.db.region, st.rec.offset, st.rec.length)
 		if err != nil {
 			return fmt.Errorf("perseas: re-fetch committed range of %q: %w", st.db.name, err)
 		}
-		st.image = append([]byte(nil), data...)
+		st.image = data
 		return nil
 	}); err != nil {
 		return err
 	}
-	var order []*Database
-	ranges := make(map[*Database][]netram.Range)
 	for _, st := range steps {
 		off, n := st.rec.offset, st.rec.length
 		l.mem.Copy(l.clock, st.db.region.Local[off:off+n], st.image)
-		if _, ok := ranges[st.db]; !ok {
-			order = append(order, st.db)
-		}
-		ranges[st.db] = append(ranges[st.db], netram.Range{Offset: off, Length: n})
-	}
-	return netram.ForEach(rc.workers, len(order), func(i int) error {
-		db := order[i]
-		if err := l.net.PushManyAckedTraced(db.region, ranges[db], nil); err != nil {
-			return fmt.Errorf("perseas: repair mirror of %q: %w", db.name, err)
-		}
-		return nil
-	})
-}
-
-// undoRepublish: quorum recovery adopted each slot's winning undo log
-// as the local image; republish it so every mirror's copy — including
-// one that missed straggler writes entirely — is byte-identical before
-// the region set is readable. Only the materialised prefix ships as
-// payload; the tail beyond the winner's records must be zeros
-// everywhere (a future scan treats zeros as log end, and stale
-// divergent tails must not survive into the next crash's winner
-// election), so it is cleared remotely without shipping a payload of
-// zeroes.
-func (rc *recovery) undoRepublish() error {
-	l := rc.l
-	return netram.ForEach(rc.workers, len(rc.slots), func(k int) error {
-		rs := rc.slots[k]
-		if rs.prefix > 0 {
-			if err := l.net.PushAcked(rs.region, 0, rs.prefix); err != nil {
-				return fmt.Errorf("perseas: republish undo log: %w", err)
+		e := netram.Entry{Region: st.db.region, Range: netram.Range{Offset: off, Length: n}}
+		if st.op.forward {
+			for _, m := range rc.slots[st.op.slot].lacking {
+				rc.stale[m].data = append(rc.stale[m].data, e)
+			}
+		} else {
+			for _, mc := range rc.copies {
+				rc.stale[mc.idx].data = append(rc.stale[mc.idx].data, e)
 			}
 		}
-		if rs.prefix < rs.region.Size() {
-			if err := l.net.ZeroRangeAcked(rs.region, rs.prefix, rs.region.Size()-rs.prefix); err != nil {
-				return fmt.Errorf("perseas: republish undo log: %w", err)
+	}
+	return nil
+}
+
+// republish sends every mirror found to differ from the elected state
+// what it lacks, as one batch in commit order — log spans, data, commit
+// words, so a second crash finds each mirror at a state the commit path
+// itself could have left — and then clears the log tails beyond the
+// adopted prefixes, remotely, without shipping a payload of zeroes.
+// Mirrors that agree are not written at all. A mirror that dies under the
+// republish is absorbed by degradation, like a push.
+func (rc *recovery) republish() error {
+	l := rc.l
+	return netram.ForEach(rc.workers, len(rc.stale), func(i int) error {
+		st := &rc.stale[i]
+		batch := slices.Concat(st.logs, st.data, st.words)
+		if len(batch) == 0 {
+			return nil
+		}
+		l.flightRec.Record(flight.RecoveryRepair, "core",
+			fmt.Sprintf("mirror sent %d log spans, %d ranges, %d commit words", len(st.logs), len(st.data), len(st.words)), uint64(i))
+		if err := l.net.PushBatchTo(i, batch); err != nil && !l.net.MirrorDown(i) {
+			return fmt.Errorf("perseas: republish to mirror %d: %w", i, err)
+		}
+		for _, t := range st.tails {
+			if err := l.net.ZeroRangeTo(i, t.Region, t.Offset, t.Length); err != nil {
+				return fmt.Errorf("perseas: clear undo log tail on mirror %d: %w", i, err)
 			}
 		}
 		return nil

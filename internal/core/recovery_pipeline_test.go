@@ -1,10 +1,13 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -35,15 +38,22 @@ import (
 // own counted write, applied one by one, so a cut can fall inside a
 // batch and leave a prefix of it on the mirror — what a transport
 // without batching, or a frame cut short by the sender's death, leaves.
+// onCut, when set, runs as the first write is refused: the node behind
+// the link going down with it.
 type cutTransport struct {
 	transport.Transport
 	writes   *atomic.Int64
 	failFrom int64
 	torn     bool
+	onCut    func()
 }
 
 func (c *cutTransport) admit() error {
-	if c.writes.Add(1) >= c.failFrom {
+	n := c.writes.Add(1)
+	if n == c.failFrom && c.onCut != nil {
+		c.onCut()
+	}
+	if n >= c.failFrom {
 		return errors.New("cut: node lost its outbound path")
 	}
 	return nil
@@ -254,21 +264,22 @@ func TestInterruptedRecoveryIsIdempotent(t *testing.T) {
 	}
 }
 
-// TestRecoveryPhaseSequence pins what one Attach emits: the phases are a
-// fixed sequence at every width, each announced by one RecoveryPhase
-// flight event, one child span of the "recover" root and one histogram
-// sample — quorum_repair only when a repair was staged, undo_republish
-// only under quorum.
+// TestRecoveryPhaseSequence pins what one Attach emits: the phases are
+// one fixed sequence at every quorum and every width, each announced by
+// one RecoveryPhase flight event, one child span of the "recover" root
+// and one histogram sample. What the quorum scenario adds — a straggler
+// to repair forward, a log and a word to republish — shows in the
+// counters and the RecoveryRepair events, not in the phase list.
 func TestRecoveryPhaseSequence(t *testing.T) {
-	allAck := []string{"meta_fetch", "slot_connect", "db_fetch", "slot_scan", "rollback"}
+	phases := []string{"meta_fetch", "slot_connect", "db_fetch", "slot_scan", "repair", "republish"}
 	for _, sc := range []struct {
-		name  string
-		q     int
-		build func(*testing.T) ([]*memserver.Server, *simclock.SimClock)
-		want  []string
+		name                           string
+		q                              int
+		build                          func(*testing.T) ([]*memserver.Server, *simclock.SimClock)
+		forward, rolledBack, republish uint64
 	}{
-		{"all-ack", 0, buildAllAckCrash, allAck},
-		{"quorum-2of3", 2, buildQuorumForwardCrash, slices.Concat(allAck, []string{"quorum_repair", "undo_republish"})},
+		{"all-ack", 0, buildAllAckCrash, 0, 2, 0},
+		{"quorum-2of3", 2, buildQuorumForwardCrash, 1, 1, 2},
 	} {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/workers=%d", sc.name, workers), func(t *testing.T) {
@@ -285,12 +296,16 @@ func TestRecoveryPhaseSequence(t *testing.T) {
 				}
 
 				var events []string
+				repairs := 0
 				for _, ev := range fr.Snapshot() {
-					if ev.Kind == flight.RecoveryPhase {
+					switch ev.Kind {
+					case flight.RecoveryPhase:
 						events = append(events, ev.Detail)
+					case flight.RecoveryRepair:
+						repairs++
 					}
 				}
-				if want := slices.Concat(sc.want, []string{"complete"}); !slices.Equal(events, want) {
+				if want := slices.Concat(phases, []string{"complete"}); !slices.Equal(events, want) {
 					t.Errorf("RecoveryPhase flight events %v, want %v", events, want)
 				}
 
@@ -300,10 +315,10 @@ func TestRecoveryPhaseSequence(t *testing.T) {
 						spans[sp.Name]++
 					}
 				}
-				if len(spans) != len(sc.want)+1 || spans["recover"] != 1 {
-					t.Errorf("core spans %v, want one recover root and one span per phase of %v", spans, sc.want)
+				if len(spans) != len(phases)+1 || spans["recover"] != 1 {
+					t.Errorf("core spans %v, want one recover root and one span per phase of %v", spans, phases)
 				}
-				for _, name := range sc.want {
+				for _, name := range phases {
 					if spans[name] != 1 {
 						t.Errorf("phase %s recorded %d spans, want 1", name, spans[name])
 					}
@@ -312,18 +327,175 @@ func TestRecoveryPhaseSequence(t *testing.T) {
 				m := lib.RecoveryMetrics()
 				for name, h := range map[string]*obs.Histogram{
 					"meta_fetch": &m.MetaFetch, "slot_connect": &m.SlotConnect, "db_fetch": &m.DBFetch,
-					"slot_scan": &m.SlotScan, "rollback": &m.Rollback, "quorum_repair": &m.Repair,
-					"undo_republish": &m.Republish,
+					"slot_scan": &m.SlotScan, "repair": &m.Repair, "republish": &m.Republish,
 				} {
-					want := uint64(0)
-					if slices.Contains(sc.want, name) {
-						want = 1
+					if got := h.Snapshot().Count; got != 1 {
+						t.Errorf("histogram of %s holds %d samples, want 1", name, got)
 					}
-					if got := h.Snapshot().Count; got != want {
-						t.Errorf("histogram of %s holds %d samples, want %d", name, got, want)
-					}
+				}
+				if f, rb, rp := m.SlotsForward.Load(), m.SlotsRolledBack.Load(), m.SlotsRepublished.Load(); f != sc.forward || rb != sc.rolledBack || rp != sc.republish {
+					t.Errorf("slots forward/rolled back/republished = %d/%d/%d, want %d/%d/%d", f, rb, rp, sc.forward, sc.rolledBack, sc.republish)
+				}
+				if repairs == 0 {
+					t.Error("a recovery that repaired slots recorded no RecoveryRepair flight event")
 				}
 			})
 		}
+	}
+}
+
+// tallyTransport counts what one mirror is asked for during a recovery:
+// the reads per segment, and every write — a Write, each entry of a
+// WriteBatch, a Fill — as the (segment, offset, bytes) it carried.
+type tallyTransport struct {
+	transport.Transport
+	mu      sync.Mutex
+	reads   map[uint32]int
+	written []transport.BatchWrite
+	batches int
+}
+
+func (c *tallyTransport) Read(seg uint32, offset uint64, n uint32) ([]byte, error) {
+	c.mu.Lock()
+	c.reads[seg]++
+	c.mu.Unlock()
+	return c.Transport.Read(seg, offset, n)
+}
+
+func (c *tallyTransport) Write(seg uint32, offset uint64, data []byte) error {
+	return c.WriteBatch([]transport.BatchWrite{{Seg: seg, Offset: offset, Data: data}})
+}
+
+func (c *tallyTransport) WriteBatch(writes []transport.BatchWrite) error {
+	c.mu.Lock()
+	c.batches++
+	for _, w := range writes {
+		c.written = append(c.written, transport.BatchWrite{Seg: w.Seg, Offset: w.Offset, Data: append([]byte(nil), w.Data...)})
+	}
+	c.mu.Unlock()
+	return c.Transport.(transport.BatchWriter).WriteBatch(writes)
+}
+
+func (c *tallyTransport) Fill(seg uint32, offset, n uint64) error {
+	return c.Write(seg, offset, make([]byte, n))
+}
+
+// attachTallied recovers servers on a fresh node through tallyTransports.
+func attachTallied(t *testing.T, servers []*memserver.Server, clock simclock.Clock) (*Library, *netram.Client, []*tallyTransport) {
+	t.Helper()
+	var tallies []*tallyTransport
+	net := freshClient(t, servers, clock, 0, func(tr transport.Transport) transport.Transport {
+		tally := &tallyTransport{Transport: tr, reads: make(map[uint32]int)}
+		tallies = append(tallies, tally)
+		return tally
+	})
+	lib, err := Attach(net, clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lib, net, tallies
+}
+
+// TestAgreeingMirrorsAreOnlyRead is the cost side of electing at every
+// quorum: after a crash that left the mirrors agreeing — the usual one —
+// recovery writes nothing to any of them, and reads each mirror's
+// metadata region exactly once (that copy is the base copy and the
+// election's input both).
+func TestAgreeingMirrorsAreOnlyRead(t *testing.T) {
+	r := newCutRig(t, 2, 0, false)
+	edb, err := r.lib.CreateDB("bank", 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.lib.InitDB(edb); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := declare(t, r.lib, edb.(*Database), byte(i+1)).Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	declare(t, r.lib, edb.(*Database), 0x66) // in flight, nothing remote
+
+	lib, net, tallies := attachTallied(t, r.servers, r.clock)
+	defer net.Close()
+	for i, tally := range tallies {
+		if tally.batches != 0 {
+			t.Errorf("mirror %d took %d write exchanges (%d entries) from a recovery whose mirrors agree, want 0", i, tally.batches, len(tally.written))
+		}
+		if n := tally.reads[lib.meta.Handle(i).ID]; n != 1 {
+			t.Errorf("mirror %d had its metadata region read %d times, want 1", i, n)
+		}
+	}
+	m := lib.RecoveryMetrics()
+	if f, rb, rp := m.SlotsForward.Load(), m.SlotsRolledBack.Load(), m.SlotsRepublished.Load(); f+rb+rp != 0 {
+		t.Errorf("slots forward/rolled back/republished = %d/%d/%d, want none", f, rb, rp)
+	}
+	if mm, err := net.VerifyAll(); err != nil || len(mm) != 0 {
+		t.Fatalf("VerifyAll: %v %v", mm, err)
+	}
+}
+
+// TestStaleMirrorGetsExactlyWhatItLacks: one mirror took a commit batch
+// whole, the other none of it, and the primary died. Recovery elects the
+// transaction forward, leaves the mirror that has it alone, and sends the
+// other one batch holding exactly the bytes it lacks, in commit order:
+// the span of the slot's log that differs, the transaction's ranges, the
+// commit word.
+func TestStaleMirrorGetsExactlyWhatItLacks(t *testing.T) {
+	s := commitShape{name: "all-ack", mirrors: 2}
+	r, tx, _, after := crashPointRig(t, s)
+	r.cuts[1].failFrom = r.cuts[1].writes.Load() + 1 // mirror 1 takes none of the batch
+	slot, id, ranges := tx.slot.idx, tx.id, append([]pending(nil), tx.ranges...)
+	if err := tx.Commit(); err == nil {
+		t.Fatal("Commit should fail with a mirror refusing the batch")
+	}
+	stale := cloneServers(t, r.servers)[1] // mirror 1 as the crash leaves it
+
+	lib, net, tallies := attachTallied(t, r.servers, r.clock)
+	defer net.Close()
+	if got := lib.dbs["bank"].Bytes(); !bytes.Equal(got, after) {
+		t.Fatal("the transaction one mirror holds whole was not elected forward")
+	}
+	if tallies[0].batches != 0 {
+		t.Errorf("the mirror holding the whole batch took %d write exchanges, want 0", tallies[0].batches)
+	}
+	if tallies[1].batches != 1 {
+		t.Fatalf("the stale mirror took %d write exchanges, want 1", tallies[1].batches)
+	}
+	undo, db, meta := lib.slots[slot].region, lib.dbs["bank"].region, lib.meta
+	got := tallies[1].written
+	if len(got) != 1+len(ranges)+1 {
+		t.Fatalf("the stale mirror was sent %d entries, want a log span, %d ranges and the word", len(got), len(ranges))
+	}
+	// The log span is tight: its first and last byte differ from what
+	// the mirror held, and nothing outside it does.
+	was, err := stale.Read(undo.Handle(1).ID, 0, uint32(undo.Size()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := got[0]
+	if log.Seg != undo.Handle(1).ID || log.Data[0] == was[log.Offset] || log.Data[len(log.Data)-1] == was[log.Offset+uint64(len(log.Data))-1] {
+		t.Errorf("first entry [%d,+%d) of segment %d is not the differing span of the slot's log", log.Offset, len(log.Data), log.Seg)
+	}
+	copy(was[log.Offset:], log.Data)
+	if !bytes.Equal(was, undo.Local) {
+		t.Error("the slot's log differs outside the span the mirror was sent")
+	}
+	slices.Reverse(ranges) // recovery restores newest record first
+	for i, rg := range ranges {
+		if w := got[1+i]; w.Seg != db.Handle(1).ID || w.Offset != rg.offset || uint64(len(w.Data)) != rg.length {
+			t.Errorf("entry %d is [%d,+%d) of segment %d, want the transaction's range [%d,+%d)", 1+i, w.Offset, len(w.Data), w.Seg, rg.offset, rg.length)
+		}
+	}
+	if w := got[len(got)-1]; w.Seg != meta.Handle(1).ID || w.Offset != lib.slots[slot].wordOff || binary.BigEndian.Uint64(w.Data) != id {
+		t.Errorf("last entry is [%d,+%d) of segment %d, want the slot's commit word", w.Offset, len(w.Data), w.Seg)
+	}
+	m := lib.RecoveryMetrics()
+	if f, rb, rp := m.SlotsForward.Load(), m.SlotsRolledBack.Load(), m.SlotsRepublished.Load(); f != 1 || rb != 0 || rp != 1 {
+		t.Errorf("slots forward/rolled back/republished = %d/%d/%d, want 1/0/1", f, rb, rp)
+	}
+	if mm, err := net.VerifyAll(); err != nil || len(mm) != 0 {
+		t.Fatalf("VerifyAll: %v %v", mm, err)
 	}
 }

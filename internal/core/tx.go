@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/ics-forth/perseas/internal/engine"
+	"github.com/ics-forth/perseas/internal/flight"
 	"github.com/ics-forth/perseas/internal/netram"
 	"github.com/ics-forth/perseas/internal/trace"
 )
@@ -23,18 +24,19 @@ type Tx struct {
 	// owning goroutine touches it.
 	cursor uint64
 	ranges []pending
-	pushed []pending
 	// undo names the slot's log records, one (offset, length) per
-	// SetRange, in log order; undo[:undoSent] are on the mirrors. The
-	// records leave together when Commit or Prepare starts — no reader
-	// looks at a remote record before its transaction's ranges reach a
-	// mirror — or, retired, when Abort ends.
-	undo     []netram.Range
-	undoSent int
-	// scratch is the commit path's reusable netram.Range buffer (one
-	// database's run at a time); capacity survives across the handle's
-	// reuses.
-	scratch []netram.Range
+	// SetRange, in log order. The records leave at the head of the batch
+	// Commit or Prepare sends — no reader looks at a remote record before
+	// its transaction's ranges reach that mirror — or, retired, when Abort
+	// ends.
+	undo []netram.Range
+	// sent is every part a push of this transaction has tried to put on
+	// the mirrors; a failed push may have landed whole on some of them, so
+	// Abort takes back exactly these.
+	sent parts
+	// batch is the commit path's reusable entry buffer; capacity survives
+	// across the handle's reuses.
+	batch []netram.Entry
 	// done marks the handle retired (committed, aborted, or wiped out by
 	// a crash); guarded by l.mu.
 	done bool
@@ -45,9 +47,10 @@ type Tx struct {
 	tt   *trace.TxTrace
 	root trace.SpanRef
 	// prepared marks a transaction whose ranges Prepare already pushed;
-	// CommitPrepared publishes its commit word. prevWord and prepStart
-	// carry the rollback word and the start time across the two halves.
-	// All three are owned by the driving goroutine.
+	// CommitPrepared publishes its commit word. prevWord is the slot's
+	// commit word from before this transaction, which a failed word push
+	// and Abort restore; prepStart carries the start time across the two
+	// halves. All three are owned by the driving goroutine.
 	prepared  bool
 	prevWord  uint64
 	prepStart time.Duration
@@ -95,6 +98,9 @@ func (l *Library) beginTx(traceID, parentSpan uint64) (*Tx, error) {
 	if err := l.checkAliveLocked(); err != nil {
 		return nil, err
 	}
+	if err := l.retireRolledBackLocked(); err != nil {
+		return nil, err
+	}
 	slot, err := l.acquireSlotLocked()
 	if err != nil {
 		return nil, err
@@ -105,14 +111,13 @@ func (l *Library) beginTx(traceID, parentSpan uint64) (*Tx, error) {
 		t = &Tx{}
 		slot.tx = t
 	}
-	// Reset the recycled handle in place; ranges/pushed/undo/scratch keep
-	// their capacity, which is what makes the steady-state commit path
+	// Reset the recycled handle in place; ranges/undo/batch keep their
+	// capacity, which is what makes the steady-state commit path
 	// allocation-free.
 	t.l, t.id, t.slot = l, l.lastTxID, slot
 	t.cursor = 0
 	t.ranges = t.ranges[:0]
-	t.pushed = t.pushed[:0]
-	t.undo, t.undoSent = t.undo[:0], 0
+	t.undo, t.sent = t.undo[:0], 0
 	t.done = false
 	t.prepared = false
 	slot.busy = true
@@ -125,6 +130,33 @@ func (l *Library) beginTx(traceID, parentSpan uint64) (*Tx, error) {
 	}
 	t.root = t.tt.Start(trace.LayerEngine, "tx")
 	return t, nil
+}
+
+// retireRolledBackLocked retires the log records of the transactions the
+// last recovery rolled back, the way Abort retires an aborted
+// transaction's: their ids are zeroed and pushed, joined on every mirror,
+// so no valid record of a transaction that is gone stays at a remote log
+// head — where the next crash would roll its stale before-images back
+// over whatever another slot has since committed to those bytes. It runs
+// when the first transaction after the recovery begins, not inside
+// Recover: no transaction can commit before one begins, a crash in
+// between finds the records valid and rolls the same transaction back
+// again, and the modelled recovery time of the Section 6 experiment,
+// which ends when Recover returns, is left exactly where it was. Caller
+// holds l.mu.
+func (l *Library) retireRolledBackLocked() error {
+	if len(l.retire) == 0 {
+		return nil
+	}
+	for _, e := range l.retire {
+		binary.BigEndian.PutUint64(e.Region.Local[e.Offset:], 0)
+	}
+	if err := l.net.PushBatch(l.retire, nil, true); err != nil {
+		return fmt.Errorf("perseas: retire rolled-back undo records: %w", err)
+	}
+	l.flightRec.Record(flight.RecoveryRepair, "core", "rolled-back records retired", uint64(len(l.retire)))
+	l.retire = nil
+	return nil
 }
 
 // finishLocked retires a transaction handle: its conflict claims are
@@ -216,81 +248,75 @@ func (t *Tx) SetRange(db engine.DB, offset, length uint64) error {
 	return nil
 }
 
-// Commit implements engine.Tx: the paper's PERSEAS_commit_transaction,
-// three joined pushes per mirror. The transaction's undo records travel
-// to the slot's remote log (step 2 of Fig. 3, one batch); once they are
-// on their quorum the modified portions of the database are copied to
-// the equivalent portions in the remote nodes' memories (step 3); the
-// transaction then commits atomically with one small remote write of its
-// slot's commit word, which also discards that slot's remote undo log
-// (records up to the committed id are ignored by recovery). Each push
-// joins before the next starts, so on every mirror and across mirrors
-// every record precedes every range and every range precedes the word.
-func (t *Tx) Commit() error {
+// start opens a commit-path call: it checks that the library is alive
+// and the handle open, and notes the slot's commit word as it stands.
+func (t *Tx) start() error {
 	l := t.l
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if err := l.checkAliveLocked(); err != nil {
-		l.mu.Unlock()
 		return err
 	}
 	if t.done {
-		l.mu.Unlock()
 		return engine.ErrNoTransaction
 	}
-	prevWord := t.slot.committed
-	l.mu.Unlock()
+	if !t.prepared {
+		t.prevWord = t.slot.committed
+	}
+	return nil
+}
 
-	merged := t.mergeRanges()
+// Commit implements engine.Tx: the paper's PERSEAS_commit_transaction,
+// one ordered batch per mirror and one join. The batch carries the
+// transaction's undo records to the slot's remote log (step 2 of Fig. 3),
+// then the modified portions of the database to the equivalent portions
+// in the remote node's memory (step 3), then the slot's commit word — one
+// small write that commits the transaction atomically and discards the
+// slot's remote undo log (records up to the committed id are ignored by
+// recovery). A mirror applies the entries in that order, so on every
+// mirror a range is never present without every record, nor the word
+// without every range; what one mirror holds says nothing about another,
+// and recovery settles that by election (recovery.go).
+func (t *Tx) Commit() error {
+	if err := t.start(); err != nil {
+		return err
+	}
+	l := t.l
+	t.mergeRanges()
 	cm := t.tt.Start(trace.LayerEngine, "commit")
 	total := l.clock.Now()
-	if err := t.pushUndo(cm, false); err != nil {
+	if err := t.push(cm, partUndo|partRanges|partWord, false, false); err != nil {
 		return err
 	}
-	if err := t.pushRanges(cm, merged, false); err != nil {
-		return err
-	}
-	if err := t.publishWord(cm, prevWord); err != nil {
-		return err
-	}
+	cm.End()
 	l.metrics.CommitTotal.ObserveDuration(l.clock.Now() - total)
 	return t.retireCommitted()
 }
 
 // Prepare runs the first half of the two-phase form of Commit the shard
-// router uses for cross-shard transactions: the undo records and then
-// every modified range are pushed to this instance's mirrors (commit
-// steps 2 and 3, joined on every mirror), but the commit word
-// stays unpublished and the transaction stays open with its claims held.
+// router uses for cross-shard transactions: the commit batch without its
+// word — undo records, then every modified range — joined on every
+// mirror; the transaction stays open with its claims held.
 // A prepared transaction either finishes with CommitPrepared or rolls
 // back with Abort. If the node dies in between, the prepared state is
 // indistinguishable from a crash in the middle of an ordinary Commit, so
 // plain recovery rolls it back — unless a coordinator decision record
 // says otherwise (RecoverWithDecisions).
 func (t *Tx) Prepare() error {
-	l := t.l
-	l.mu.Lock()
-	if err := l.checkAliveLocked(); err != nil {
-		l.mu.Unlock()
+	if err := t.start(); err != nil {
 		return err
 	}
-	if t.done {
-		l.mu.Unlock()
-		return engine.ErrNoTransaction
-	}
-	prevWord := t.slot.committed
-	l.mu.Unlock()
-
 	merged := t.mergeRanges()
 	pp := t.tt.Start(trace.LayerEngine, "prepare")
-	t.prepStart = l.clock.Now()
-	if err := t.pushUndo(pp, true); err != nil {
-		return err
-	}
-	if err := t.pushRanges(pp, merged, true); err != nil {
+	t.prepStart = t.l.clock.Now()
+	// Joined on every mirror even on a quorum client: a coordinator
+	// decision makes the prepared data durable without a commit word, and
+	// recovery then has no word holder guaranteed to hold the data.
+	// Commit's batch carries that guarantee in its word.
+	if err := t.push(pp, partUndo|partRanges, true, false); err != nil {
 		return err
 	}
 	pp.EndN(uint64(len(merged)))
-	t.prevWord = prevWord
 	t.prepared = true
 	return nil
 }
@@ -298,7 +324,7 @@ func (t *Tx) Prepare() error {
 // CommitPrepared publishes the commit word of a transaction Prepare left
 // in the prepared state — the per-shard completion half of a cross-shard
 // commit. The word push is the same atomic commit point an ordinary
-// Commit uses; once it lands, this shard's part of the transaction
+// Commit ends on; once it lands, this shard's part of the transaction
 // survives any crash. A failed push leaves the transaction prepared (the
 // local word rolls back), so a coordinator holding a durable decision
 // can re-drive the idempotent push instead of leaving the transaction —
@@ -309,9 +335,10 @@ func (t *Tx) CommitPrepared() error {
 		return fmt.Errorf("perseas: CommitPrepared on an unprepared transaction")
 	}
 	cm := t.tt.Start(trace.LayerEngine, "commit_prepared")
-	if err := t.publishWord(cm, t.prevWord); err != nil {
+	if err := t.push(cm, partWord, false, false); err != nil {
 		return err
 	}
+	cm.End()
 	t.prepared = false
 	l.metrics.CommitTotal.ObserveDuration(l.clock.Now() - t.prepStart)
 	return t.retireCommitted()
@@ -326,14 +353,13 @@ func (t *Tx) Slot() int { return t.slot.idx }
 // the commit-path push.
 func (t *Tx) mergeRanges() []pending {
 	l := t.l
-	// Sort the pending ranges by (database, offset): sorting groups
-	// each database's ranges contiguously, so each database travels in
-	// one batched exchange per mirror (one TCP round trip per table
-	// instead of one per range), and primes the optional store-gather
-	// merge below. Push order across databases is commutative on the
-	// SCI model (virtual time is a sum of per-write costs), so
-	// reordering leaves reproduced figures untouched. The handle's own
-	// slices back everything; a warm commit allocates nothing.
+	// Sort the pending ranges by (database, offset): a transaction's
+	// ranges then cross the wire in one order whatever order it declared
+	// them in, and adjacent ones sit side by side for the optional
+	// store-gather merge below. Push order is commutative on the SCI
+	// model (virtual time is a sum of per-write costs), so reordering
+	// leaves reproduced figures untouched. The handle's own slices back
+	// everything; a warm commit allocates nothing.
 	slices.SortFunc(t.ranges, func(a, b pending) int {
 		if a.db != b.db {
 			if a.db.id < b.db.id {
@@ -374,109 +400,92 @@ func (t *Tx) mergeRanges() []pending {
 	return merged
 }
 
-// pushUndo is commit step 2 (paper Fig. 3), deferred from SetRange: the
-// log records not yet on the mirrors travel to the slot's remote undo
-// log as one batch, one wire range per record — the same stores, and on
-// the simulated clock the same cost, as pushing each when it was written.
-// It joins before the caller pushes a single database byte, which is the
-// whole ordering requirement: a mirror must hold the before-image of
-// every byte a range push may overwrite. A failed push can still have
-// reached some mirrors; undoSent does not move, so a retried Commit or
-// the Abort re-sends the set. parent and allAck are as in pushRanges.
-func (t *Tx) pushUndo(parent trace.SpanRef, allAck bool) error {
-	l := t.l
-	recs := t.undo[t.undoSent:]
-	if len(recs) == 0 {
-		return nil
-	}
-	phase := l.clock.Now()
-	up := t.tt.Start(trace.LayerCore, "undo_push")
-	push := l.net.PushManyTraced
-	if allAck {
-		push = l.net.PushManyAckedTraced
-	}
-	if err := push(t.slot.region, recs, t.tt); err != nil {
-		up.End()
-		parent.End()
-		return fmt.Errorf("perseas: push undo records: %w", err)
-	}
-	t.undoSent = len(t.undo)
-	up.EndN(uint64(len(recs)))
-	l.metrics.UndoPush.ObserveDuration(l.clock.Now() - phase)
-	return nil
-}
+// parts names what a commit-path push carries. Commit order is the bit
+// order: the slot's undo records, the claimed database spans, the commit
+// word.
+type parts uint8
 
-// pushRanges is commit step 3 (paper Fig. 3): the modified portions of
-// each database travel to its mirrors, one batched exchange per database
-// per mirror. parent is the enclosing "commit" or "prepare" span; it is
-// closed on failure so the trace tree stays balanced. allAck forces the
-// full-fanout join on quorum clients — Prepare needs it, because a
-// coordinator decision makes the prepared data durable without a commit
-// word and recovery then has no word-max mirror guaranteed to hold the
-// data; Commit's word push carries that guarantee itself, so the fast
-// quorum join stays safe there.
-func (t *Tx) pushRanges(parent trace.SpanRef, merged []pending, allAck bool) error {
-	l := t.l
-	phase := l.clock.Now()
-	rp := t.tt.Start(trace.LayerCore, "range_push")
-	for i := 0; i < len(merged); {
-		db := merged[i].db
-		j := i
-		scratch := t.scratch[:0]
-		for ; j < len(merged) && merged[j].db == db; j++ {
-			scratch = append(scratch, netram.Range{Offset: merged[j].offset, Length: merged[j].length})
-		}
-		t.scratch = scratch
-		// Record the run as pushed BEFORE the attempt: PushMany can
-		// fail after reaching a subset of the mirrors, and a range that
-		// reached even one mirror must be re-pushed by Abort or that
-		// mirror's database silently diverges from local.
-		t.pushed = append(t.pushed, merged[i:j]...)
-		if err := l.net.PushSpansTraced(db.region, scratch, t.tt, allAck); err != nil {
-			rp.End()
-			parent.End()
-			return fmt.Errorf("perseas: push database ranges: %w", err)
-		}
-		i = j
-	}
-	rp.EndN(uint64(len(merged)))
-	l.metrics.RangePush.ObserveDuration(l.clock.Now() - phase)
-	return nil
-}
+const (
+	partUndo parts = 1 << iota
+	partRanges
+	partWord
+)
 
-// publishWord is the atomic commit point: publish the transaction id in
-// this slot's commit word. Commit words of different slots are disjoint
-// bytes of the metadata region, so concurrent committers share the
-// read lock; only a directory rewrite (which pushes the whole region)
-// excludes them. parent is the enclosing "commit" or "commit_prepared"
-// span; publishWord closes it on every path.
-func (t *Tx) publishWord(parent trace.SpanRef, prevWord uint64) error {
+// push is the commit path's one mirror exchange: p of the transaction as
+// a single ordered batch per mirror, joined once (on every mirror when
+// allAck is set, else on the quorum). Commit order — every record (one
+// wire range each, widened as a lone push would widen it: the same
+// stores, and on the simulated clock the same cost, as pushing each when
+// it was written), then every claimed span exactly, then the word — is
+// the whole ordering requirement: a mirror must hold the before-image of
+// every byte it may see overwritten, and every byte of the transaction
+// before the word that commits it. Abort sends what it takes back in the
+// reverse order (undoing), so every prefix of its batch leaves a mirror
+// either committed and whole or rolling back with its records intact.
+//
+// The batch can fail after landing whole on some mirrors, so p joins
+// t.sent before the attempt and nothing is consumed: a retried call
+// sends the set again, and Abort repairs and retires all of it. The
+// commit word is disjoint bytes of the metadata region per slot, so
+// concurrent committers share the read lock; only a directory rewrite
+// (which pushes the whole region) excludes them. parent is the enclosing
+// engine span, closed here on failure so the trace tree stays balanced.
+func (t *Tx) push(parent trace.SpanRef, p parts, allAck, undoing bool) error {
 	l := t.l
 	l.metaMu.RLock()
+	defer l.metaMu.RUnlock()
 	meta := l.meta
 	if meta == nil {
-		// A simulated crash raced the commit; recovery decides the
+		// A simulated crash raced the push; recovery decides the
 		// transaction's fate from what reached the mirrors.
-		l.metaMu.RUnlock()
 		parent.End()
 		return engine.ErrCrashed
 	}
-	phase := l.clock.Now()
-	wp := t.tt.Start(trace.LayerCore, "word_push")
-	binary.BigEndian.PutUint64(meta.Local[t.slot.wordOff:], t.id)
-	if err := l.net.PushTraced(meta, t.slot.wordOff, 8, t.tt); err != nil {
-		// Roll the local commit word back; the transaction stays
-		// uncommitted and can be retried or aborted.
-		binary.BigEndian.PutUint64(meta.Local[t.slot.wordOff:], prevWord)
-		l.metaMu.RUnlock()
-		wp.End()
-		parent.End()
-		return fmt.Errorf("perseas: publish commit word: %w", err)
+	batch := t.batch[:0]
+	if p&partUndo != 0 {
+		for _, u := range t.undo {
+			batch = append(batch, netram.Entry{Region: t.slot.region, Range: u})
+		}
 	}
-	l.metaMu.RUnlock()
-	wp.EndN(8)
-	parent.End()
-	l.metrics.WordPush.ObserveDuration(l.clock.Now() - phase)
+	if p&partRanges != 0 {
+		for _, r := range t.ranges {
+			batch = append(batch, netram.Entry{Region: r.db.region, Range: netram.Range{Offset: r.offset, Length: r.length}, Exact: true})
+		}
+	}
+	if p&partWord != 0 {
+		batch = append(batch, netram.Entry{Region: meta, Range: netram.Range{Offset: t.slot.wordOff, Length: 8}})
+		if !undoing {
+			binary.BigEndian.PutUint64(meta.Local[t.slot.wordOff:], t.id)
+		}
+	}
+	if undoing {
+		slices.Reverse(batch)
+	}
+	t.batch = batch
+	if len(batch) == 0 {
+		return nil // an Abort with nothing logged and nothing sent
+	}
+	var bytes uint64
+	for _, e := range batch {
+		bytes += e.Length
+	}
+	t.sent |= p
+	phase := l.clock.Now()
+	sp := t.tt.Start(trace.LayerCore, "commit_push")
+	if err := l.net.PushBatch(batch, t.tt, allAck); err != nil {
+		if p&partWord != 0 {
+			// Roll the local commit word back; the transaction stays
+			// uncommitted and can be retried or aborted.
+			binary.BigEndian.PutUint64(meta.Local[t.slot.wordOff:], t.prevWord)
+		}
+		sp.End()
+		parent.End()
+		return fmt.Errorf("perseas: commit push: %w", err)
+	}
+	sp.EndN(uint64(len(batch)))
+	l.metrics.Push.ObserveDuration(l.clock.Now() - phase)
+	l.metrics.PushEntries.Observe(uint64(len(batch)))
+	l.metrics.PushBytes.Observe(bytes)
 	return nil
 }
 
@@ -509,28 +518,22 @@ func (t *Tx) retireCommitted() error {
 
 // Abort implements engine.Tx: the paper's PERSEAS_abort_transaction.
 // Declared ranges are restored from the transaction's local undo slot
-// with plain local memory copies, newest record first. If a failed
-// Commit had already pushed some ranges to the mirrors, those ranges are
-// re-pushed with their restored (pre-transaction) content so local and
-// remote databases stay identical. Last, the slot's log is retired: the
-// records' transaction ids are zeroed and the records pushed, in one
-// batch. That leaves the slot byte-identical on every mirror whether
-// Commit never ran, sent none, some or all of the records — and leaves no
-// valid record of an aborted transaction at a remote log head, where a
-// later crash would roll its stale before-images back over whatever
-// another transaction has committed to those bytes since.
+// with plain local memory copies, newest record first. Then one batch
+// takes back whatever a failed Commit, Prepare or CommitPrepared may have
+// left on any mirror — the batch can have landed whole, word included, on
+// some mirrors and not at all on others: the slot's previous commit word,
+// the ranges with their restored (pre-transaction) content, and last the
+// slot's log, retired — the records' transaction ids zeroed. That leaves
+// every region byte-identical on every mirror whether Commit never ran or
+// reached none, some or all of them — and leaves no valid record of an
+// aborted transaction at a remote log head, where a later crash would
+// roll its stale before-images back over whatever another transaction
+// has committed to those bytes since.
 func (t *Tx) Abort() error {
-	l := t.l
-	l.mu.Lock()
-	if err := l.checkAliveLocked(); err != nil {
-		l.mu.Unlock()
+	if err := t.start(); err != nil {
 		return err
 	}
-	if t.done {
-		l.mu.Unlock()
-		return engine.ErrNoTransaction
-	}
-	l.mu.Unlock()
+	l := t.l
 	ab := t.tt.Start(trace.LayerEngine, "abort")
 
 	// Every database this transaction touched is reachable from its own
@@ -561,26 +564,17 @@ func (t *Tx) Abort() error {
 		}
 		l.mem.Copy(l.clock, db.region.Local[rec.offset:rec.offset+rec.length], rec.data)
 	}
-
-	// Repair mirrors touched by a partially executed Commit. t.pushed
-	// includes groups whose PushMany failed partway — a range that
-	// reached even one mirror needs its restored content re-pushed.
-	for _, r := range t.pushed {
-		t.scratch = append(t.scratch[:0], netram.Range{Offset: r.offset, Length: r.length})
-		if err := l.net.PushSpansTraced(r.db.region, t.scratch, t.tt, false); err != nil {
-			ab.End()
-			return fmt.Errorf("perseas: repair mirror after failed commit: %w", err)
-		}
-		l.metrics.Repairs.Inc()
-	}
 	for _, u := range t.undo {
 		binary.BigEndian.PutUint64(t.slot.region.Local[u.Offset:], 0)
 	}
 	// The local image is restored; a retried Abort must not parse the
 	// retired log again, only finish sending it.
-	t.cursor, t.undoSent = 0, 0
-	if err := t.pushUndo(ab, false); err != nil {
+	t.cursor = 0
+	if err := t.push(ab, t.sent|partUndo, false, true); err != nil {
 		return err
+	}
+	if t.sent&partRanges != 0 {
+		l.metrics.Repairs.Add(uint64(len(t.ranges)))
 	}
 	ab.End()
 

@@ -23,10 +23,13 @@ const (
 	// recordAlign keeps record starts 16-byte aligned so small records
 	// occupy the fewest SCI packet slots.
 	recordAlign = 16
-	// undoChunk is the granularity recovery materialises remote undo
-	// logs at: most crashes leave a handful of records per slot, so the
-	// scan transfers a chunk or two, never the whole undo region.
+	// undoChunk is the granularity recovery materialises a remote undo
+	// log at for the local image: most crashes leave a handful of records
+	// per slot, so the scan transfers a chunk or two, never the whole undo
+	// region. undoProbe is the granularity for the other mirrors' copies,
+	// which are read only to be compared with it.
 	undoChunk = 64 << 10
+	undoProbe = 4 << 10
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)

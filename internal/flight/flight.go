@@ -68,6 +68,12 @@ const (
 	// copy, catch-up epochs, final drain); the arg is the slot being
 	// rebuilt.
 	RebuildPhase
+	// RecoveryRepair: crash recovery found the mirrors disagreeing and
+	// acted — an undo slot's head transaction rolled back or repaired
+	// forward (the arg is the slot), a mirror sent what it lacked, a
+	// rolled-back transaction's records retired (the arg is the mirror,
+	// the record count). A recovery whose mirrors agree records none.
+	RecoveryRepair
 	numKinds
 )
 
@@ -82,6 +88,7 @@ var kindNames = [numKinds]string{
 	"indoubt_repair",
 	"recovery_phase",
 	"rebuild_phase",
+	"recovery_repair",
 }
 
 // String returns the kind's snake_case name.

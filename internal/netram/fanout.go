@@ -1,5 +1,5 @@
-// Replication fan-out: the one mechanism behind Push and PushMany. A
-// push becomes one job per eligible mirror; each job runs on its
+// Replication fan-out: the one mechanism behind Push, PushMany and
+// PushBatch. A push becomes one job per eligible mirror; each job runs on its
 // mirror's long-lived sender worker — or inline on the caller's
 // goroutine — and the caller joins on the first `need` acks. Over real
 // transports the wall-clock cost of a commit is therefore the slowest
@@ -47,8 +47,10 @@ const catchUpQueueLen = 64
 // recovery's max-commit-word selection relies on.
 var errMirrorDown = errors.New("netram: mirror degraded before queued write ran")
 
-// wireSpan is one expanded (alignment-applied) wire range.
+// wireSpan is one wire range of a push, alignment already applied:
+// r.Local[lo:hi]. The spans of one push may name different regions.
 type wireSpan struct {
+	r      *Region
 	lo, hi uint64
 }
 
@@ -60,10 +62,12 @@ type fanoutJob struct {
 	call *fanoutCall
 	m    Mirror
 	slot int
-	seg  uint32
-	// writes is the job's persistent scratch for the batch form's
-	// transport.BatchWrite conversion.
+	// writes is the job's share of the payload in push order: one entry
+	// per span whose region is mapped on the mirror, resolved to the
+	// mirror's segment ids at dispatch. wire is its byte count. The slice
+	// is persistent scratch.
 	writes []transport.BatchWrite
+	wire   uint64
 
 	// Results. done and lost are guarded by call.mu; lost marks a failed
 	// job whose mirror was down when the job finished.
@@ -86,20 +90,19 @@ type fanoutJob struct {
 // epochs honest: a range leaves the dirty set only after every survivor
 // actually holds its bytes.
 type fanoutCall struct {
-	jobs  []fanoutJob
-	spans []wireSpan // PushMany's expansion scratch; batch aliases it
+	jobs []fanoutJob
 
-	// The payload, identical for every job. Single-write form
-	// (batch == nil): data at off. Batch form: local[s.lo:s.hi] for
-	// every span of batch. wire is its byte count on one mirror.
-	off   uint64
-	data  []byte
-	batch []wireSpan
-	local []byte
-	wire  uint64
-	// trackName is the region name when rebuild dirty tracking was on at
-	// dispatch (reclaim then records the payload's ranges), else empty.
-	trackName string
+	// The payload, identical for every job: the spans in push order (the
+	// slice is persistent scratch), the bytes the caller asked for and the
+	// bytes they became on the wire. single marks Push's one-range form,
+	// which travels as a plain Write; everything else is one WriteBatch
+	// per mirror, applied in order.
+	spans         []wireSpan
+	single        bool
+	payload, wire uint64
+	// tracking is set when rebuild dirty tracking was on at dispatch:
+	// reclaim then records the payload's spans.
+	tracking bool
 
 	refs atomic.Int32
 
@@ -147,13 +150,9 @@ func (c *Client) releaseCall(call *fanoutCall) {
 // rebuild's dirty set, refreshes the straggler gauge, and returns the
 // call to the pool.
 func (c *Client) reclaimCall(call *fanoutCall) {
-	if call.trackName != "" {
-		if call.batch != nil {
-			for _, s := range call.batch {
-				c.recordDirty(call.trackName, s.lo, s.hi-s.lo)
-			}
-		} else {
-			c.recordDirty(call.trackName, call.off, uint64(len(call.data)))
+	if call.tracking {
+		for _, s := range call.spans {
+			c.recordDirty(s.r.Name, s.lo, s.hi-s.lo)
 		}
 	}
 	if call.acks > 1 {
@@ -174,9 +173,9 @@ func (c *Client) reclaimCall(call *fanoutCall) {
 		}
 		j.err, j.done, j.lost = nil, false, false
 	}
+	clear(call.spans) // drop the region references before pooling
 	call.spans = call.spans[:0]
-	call.data, call.batch, call.local, call.trackName = nil, nil, nil, ""
-	call.wire = 0
+	call.single, call.tracking, call.payload, call.wire = false, false, 0, 0
 	call.dispatched, call.need, call.finished, call.acks, call.lost = 0, 0, 0, 0, 0
 	call.returned = false
 	c.callPool.Put(call)
@@ -288,24 +287,20 @@ func (c *Client) execJob(j *fanoutJob) {
 }
 
 // write is one attempt at the job's mirror write: the payload's single
-// range, or every span of the batch — one batched exchange when the
-// transport supports it. The batch is atomic server-side, so a replay
-// after a transient failure is idempotent.
+// range, or every entry of the batch in order — one batched exchange
+// when the transport supports it. The batch is atomic server-side, so a
+// replay after a transient failure is idempotent.
 func (j *fanoutJob) write() error {
-	call, t := j.call, j.m.T
-	if call.batch == nil {
-		return t.Write(j.seg, call.off, call.data)
+	t := j.m.T
+	if j.call.single {
+		w := j.writes[0]
+		return t.Write(w.Seg, w.Offset, w.Data)
 	}
 	if bw, ok := t.(transport.BatchWriter); ok {
-		ws := j.writes[:0]
-		for _, s := range call.batch {
-			ws = append(ws, transport.BatchWrite{Seg: j.seg, Offset: s.lo, Data: call.local[s.lo:s.hi]})
-		}
-		j.writes = ws
-		return bw.WriteBatch(ws)
+		return bw.WriteBatch(j.writes)
 	}
-	for _, s := range call.batch {
-		if err := t.Write(j.seg, s.lo, call.local[s.lo:s.hi]); err != nil {
+	for _, w := range j.writes {
+		if err := t.Write(w.Seg, w.Offset, w.Data); err != nil {
 			return err
 		}
 	}
@@ -321,7 +316,7 @@ func (c *Client) finishJob(j *fanoutJob) {
 	call := j.call
 	if j.err == nil {
 		c.metrics.MirrorPush[j.slot].ObserveDuration(j.end - j.start)
-		c.metrics.WireBytes.Add(call.wire)
+		c.metrics.WireBytes.Add(j.wire)
 	}
 	call.mu.Lock()
 	j.done = true
@@ -357,8 +352,10 @@ func (c *Client) finishJob(j *fanoutJob) {
 	c.releaseCall(call)
 }
 
-// pushMirrors propagates call's payload to every eligible mirror: one
-// dispatch loop, one join, one collect. need is every dispatched mirror
+// pushMirrors propagates call's payload to every eligible mirror — the
+// live ones holding at least one of its regions, each receiving the
+// spans of the regions it holds; only >= 0 narrows that to one slot — as
+// one dispatch loop, one join, one collect. need is every dispatched mirror
 // (all-ack clients, and the *Acked pushes of quorum clients) or
 // min(w, dispatched). The mid-flight-loss policy, stated once:
 //
@@ -376,19 +373,31 @@ func (c *Client) finishJob(j *fanoutJob) {
 // Caller holds topoMu.RLock for the whole call, which is what lets the
 // jobs capture Mirror values and segment handles without copies being
 // swapped underneath, and what orders recordDirty after the join.
-func (c *Client) pushMirrors(r *Region, call *fanoutCall, tt *trace.TxTrace, allAck bool) error {
+func (c *Client) pushMirrors(call *fanoutCall, tt *trace.TxTrace, allAck bool, only int) error {
+	name := call.spans[0].r.Name
+	call.tracking = c.tracking.Load()
 	jobs := call.jobs[:0]
 	for i := range c.mirrors {
-		if c.isDown(i) || r.handles[i].ID == 0 {
+		if c.isDown(i) || (only >= 0 && i != only) {
+			continue
+		}
+		j := &call.jobs[len(jobs)]
+		j.writes, j.wire = j.writes[:0], 0
+		for _, s := range call.spans {
+			if h := s.r.handles[i]; h.ID != 0 {
+				j.writes = append(j.writes, transport.BatchWrite{Seg: h.ID, Offset: s.lo, Data: s.r.Local[s.lo:s.hi]})
+				j.wire += s.hi - s.lo
+			}
+		}
+		if len(j.writes) == 0 {
 			continue
 		}
 		jobs = call.jobs[:len(jobs)+1]
-		j := &jobs[len(jobs)-1]
-		j.call, j.m, j.slot, j.seg = call, c.mirrors[i], i, r.handles[i].ID
+		j.call, j.m, j.slot = call, c.mirrors[i], i
 	}
 	n := len(jobs)
 	if n == 0 {
-		return fmt.Errorf("netram: push %q: %w", r.Name, ErrAllMirrorsDown)
+		return fmt.Errorf("netram: push %q: %w", name, ErrAllMirrorsDown)
 	}
 	need := n
 	if !allAck {
@@ -438,7 +447,7 @@ func (c *Client) pushMirrors(r *Region, call *fanoutCall, tt *trace.TxTrace, all
 		if j.retried {
 			tt.Event(trace.LayerNetram, "retry", uint64(j.slot))
 		}
-		tt.Completed(trace.LayerNetram, j.m.Name, j.start, j.end-j.start, call.wire)
+		tt.Completed(trace.LayerNetram, j.m.Name, j.start, j.end-j.start, j.wire)
 		if j.err != nil && !j.lost {
 			if ok {
 				c.markDown(j.slot) // the caller will not learn of it; see finishJob
@@ -458,8 +467,8 @@ func (c *Client) pushMirrors(r *Region, call *fanoutCall, tt *trace.TxTrace, all
 	case ok:
 		return nil
 	case failed == nil:
-		return fmt.Errorf("netram: push %q: %w", r.Name, ErrAllMirrorsDown)
-	case call.batch == nil:
+		return fmt.Errorf("netram: push %q: %w", name, ErrAllMirrorsDown)
+	case call.single:
 		return fmt.Errorf("netram: push to mirror %s: %w", failed.m.Name, failed.err)
 	default:
 		return fmt.Errorf("netram: batch push to mirror %s: %w", failed.m.Name, failed.err)

@@ -625,10 +625,10 @@ func (c *Client) Free(r *Region) error {
 // to whole 64-byte aligned regions (clamped to the region bounds; see
 // WireSpan). The widened bytes are read from r.Local like the range's
 // own, so they must not have a concurrent writer: callers that share a
-// region between writers claim the span first and push it with
-// PushSpansTraced.
+// region between writers claim the span first and push it as an exact
+// PushBatch entry.
 func (c *Client) Push(r *Region, offset, n uint64) error {
-	return c.pushOpts(r, offset, n, nil, false)
+	return c.pushOpts(r, offset, n, false)
 }
 
 // PushAcked is Push joined on every eligible mirror even in quorum
@@ -636,47 +636,59 @@ func (c *Client) Push(r *Region, offset, n uint64) error {
 // from any single mirror — the directory, decision records — takes
 // this path; on all-ack clients it is identical to Push.
 func (c *Client) PushAcked(r *Region, offset, n uint64) error {
-	return c.pushOpts(r, offset, n, nil, true)
-}
-
-// PushTraced is Push recording one netram span per mirror write into
-// the transaction's trace (tt may be nil; every TxTrace method is
-// nil-safe, so the untraced path costs nothing extra).
-func (c *Client) PushTraced(r *Region, offset, n uint64, tt *trace.TxTrace) error {
-	return c.pushOpts(r, offset, n, tt, false)
+	return c.pushOpts(r, offset, n, true)
 }
 
 // pushOpts is the shared Push body; allAck forces the full join even on
 // quorum clients.
-func (c *Client) pushOpts(r *Region, offset, n uint64, tt *trace.TxTrace, allAck bool) error {
+func (c *Client) pushOpts(r *Region, offset, n uint64, allAck bool) error {
 	if err := r.checkRange(offset, n); err != nil {
 		return err
 	}
-	if n == 0 {
-		return nil
-	}
 	c.topoMu.RLock()
 	defer c.topoMu.RUnlock()
-	start := c.clock.Now()
-	lo, hi := c.WireSpan(r, offset, n)
 	call := c.getCall()
-	// releaseCall (via the last reference) records the wire range in the
-	// rebuild's dirty set after the mirror writes land — including error
-	// paths, where some survivors may already hold the bytes. A push that
-	// joined on every job releases the last reference right here, under
-	// the topology read lock, so a catch-up epoch can never consume the
-	// range before the surviving replica has it; a quorum push with
-	// stragglers releases it from the last finishing worker instead.
 	defer c.releaseCall(call)
-	call.off, call.data, call.wire = lo, r.Local[lo:hi], hi-lo
-	if c.tracking.Load() {
-		call.trackName = r.Name
+	call.single = true
+	c.addSpan(call, r, Range{offset, n}, false)
+	return c.pushCall(call, nil, allAck, -1)
+}
+
+// addSpan appends one bounds-checked range of r to call's payload,
+// widened as WireSpan says unless exact.
+func (c *Client) addSpan(call *fanoutCall, r *Region, rg Range, exact bool) {
+	if rg.Length == 0 {
+		return
 	}
-	if err := c.pushMirrors(r, call, tt, allAck); err != nil {
+	lo, hi := rg.Offset, rg.Offset+rg.Length
+	if !exact {
+		lo, hi = c.WireSpan(r, rg.Offset, rg.Length)
+	}
+	call.spans = append(call.spans, wireSpan{r, lo, hi})
+	call.payload += rg.Length
+	call.wire += hi - lo
+}
+
+// pushCall sends the payload assembled on call (nothing, if every range
+// was empty) and accounts it. The caller holds the topology read lock
+// from before getCall and releases its call reference afterwards:
+// releaseCall (via the last reference) records the wire ranges in the
+// rebuild's dirty set after the mirror writes land — including error
+// paths, where some survivors may already hold the bytes. A push that
+// joined on every job releases the last reference under the topology
+// read lock, so a catch-up epoch can never consume a range before the
+// surviving replica has it; a quorum push with stragglers releases it
+// from the last finishing worker instead.
+func (c *Client) pushCall(call *fanoutCall, tt *trace.TxTrace, allAck bool, only int) error {
+	if len(call.spans) == 0 {
+		return nil
+	}
+	start := c.clock.Now()
+	if err := c.pushMirrors(call, tt, allAck, only); err != nil {
 		return err
 	}
-	c.metrics.Pushes.Inc()
-	c.metrics.PushedBytes.Add(n)
+	c.metrics.Pushes.Add(uint64(len(call.spans)))
+	c.metrics.PushedBytes.Add(call.payload)
 	c.metrics.PushLatency.ObserveDuration(c.clock.Now() - start)
 	return nil
 }
@@ -726,36 +738,74 @@ type Range struct {
 
 // PushMany propagates several ranges of r to every mirror, using one
 // batched exchange per mirror when its transport supports it (one TCP
-// round trip per commit instead of one per range). Alignment expansion
-// applies per range exactly as in Push; on the SCI model the cost is
-// identical to pushing the ranges one by one.
+// round trip instead of one per range). Alignment expansion applies per
+// range exactly as in Push; on the SCI model the cost is identical to
+// pushing the ranges one by one.
 func (c *Client) PushMany(r *Region, ranges []Range) error {
-	return c.PushManyTraced(r, ranges, nil)
+	for _, rg := range ranges {
+		if err := r.checkRange(rg.Offset, rg.Length); err != nil {
+			return err
+		}
+	}
+	c.topoMu.RLock()
+	defer c.topoMu.RUnlock()
+	call := c.getCall()
+	defer c.releaseCall(call)
+	for _, rg := range ranges {
+		c.addSpan(call, r, rg, false)
+	}
+	return c.pushCall(call, nil, false, -1)
 }
 
-// PushManyTraced is PushMany recording one netram span per mirror
-// exchange into the transaction's trace (tt may be nil).
-func (c *Client) PushManyTraced(r *Region, ranges []Range, tt *trace.TxTrace) error {
-	return c.pushManyOpts(r, ranges, tt, false, false)
+// Entry is one range of a PushBatch: Length bytes at Offset of
+// Region.Local. Exact sends the range as given; otherwise it is widened
+// as Push widens it.
+type Entry struct {
+	Region *Region
+	Range
+	Exact bool
 }
 
-// PushManyAckedTraced is PushManyTraced joined on every mirror even on a
-// quorum client. Cross-shard prepares use it: the coordinator's decision
-// record is the commit point for prepared data, and recovery driven by a
-// decision must find that data on whichever mirrors it can still reach.
-// On an all-ack client it is identical to PushManyTraced.
-func (c *Client) PushManyAckedTraced(r *Region, ranges []Range, tt *trace.TxTrace) error {
-	return c.pushManyOpts(r, ranges, tt, true, false)
+// PushBatch propagates ranges of any number of regions to every mirror
+// as ONE ordered batch: a mirror applies the entries in the order given,
+// all of them or none (the transport's batch is validated whole and its
+// frame is all-or-nothing), so on every mirror an earlier entry is never
+// missing where a later one landed. Nothing orders the entries across
+// mirrors — one mirror may hold the whole batch while another holds none
+// of it. The transaction library's commit is this push: the undo
+// records, then the claimed database spans (exact — it fixed them with
+// WireSpan when it claimed them, and widening again could reach into
+// bytes another transaction holds), then the commit word. acked joins
+// on every mirror even on a quorum client; tt (may be nil) receives one
+// netram span per mirror exchange.
+func (c *Client) PushBatch(entries []Entry, tt *trace.TxTrace, acked bool) error {
+	return c.pushEntries(entries, tt, acked, -1)
 }
 
-// PushSpansTraced is PushManyTraced for ranges that already are wire
-// spans: each travels exactly as given, with no alignment expansion. The
-// transaction library uses it for database ranges, whose spans it fixed
-// with WireSpan when it claimed them — widening here again could reach
-// into bytes another transaction holds. acked joins on every mirror, as
-// PushManyAckedTraced does.
-func (c *Client) PushSpansTraced(r *Region, spans []Range, tt *trace.TxTrace, acked bool) error {
-	return c.pushManyOpts(r, spans, tt, acked, true)
+// PushBatchTo is PushBatch to mirror i alone, for recovery's republish:
+// a mirror found to differ from the elected state receives exactly the
+// bytes it lacks, in commit order, and the others nothing.
+func (c *Client) PushBatchTo(i int, entries []Entry) error {
+	if i < 0 || i >= len(c.mirrors) {
+		return fmt.Errorf("netram: no mirror %d", i)
+	}
+	return c.pushEntries(entries, nil, true, i)
+}
+
+func (c *Client) pushEntries(entries []Entry, tt *trace.TxTrace, allAck bool, only int) error {
+	for _, e := range entries {
+		if err := e.Region.checkRange(e.Offset, e.Length); err != nil {
+			return err
+		}
+	}
+	c.topoMu.RLock()
+	defer c.topoMu.RUnlock()
+	call := c.getCall()
+	defer c.releaseCall(call)
+	for _, e := range entries {
+		c.addSpan(call, e.Region, e.Range, e.Exact)
+	}
+	return c.pushCall(call, tt, allAck, only)
 }
 
 // WireSpan reports the span [lo,hi) that Push and PushMany put on the
@@ -770,52 +820,6 @@ func (c *Client) WireSpan(r *Region, offset, n uint64) (lo, hi uint64) {
 		lo, hi = expandEdges(lo, hi, r.Size())
 	}
 	return lo, hi
-}
-
-func (c *Client) pushManyOpts(r *Region, ranges []Range, tt *trace.TxTrace, allAck, exact bool) error {
-	for _, rg := range ranges {
-		if err := r.checkRange(rg.Offset, rg.Length); err != nil {
-			return err
-		}
-	}
-	c.topoMu.RLock()
-	defer c.topoMu.RUnlock()
-	start := c.clock.Now()
-	call := c.getCall()
-	// As in Push: the last call reference records the dirty spans after
-	// the writes land (the span scratch is only reclaimed after that).
-	defer c.releaseCall(call)
-	// Materialise the expanded wire ranges once; per-mirror only the
-	// segment id differs. The scratch slice rides on the pooled call.
-	spans := call.spans[:0]
-	var payload uint64
-	for _, rg := range ranges {
-		if rg.Length == 0 {
-			continue
-		}
-		lo, hi := rg.Offset, rg.Offset+rg.Length
-		if !exact {
-			lo, hi = c.WireSpan(r, rg.Offset, rg.Length)
-		}
-		spans = append(spans, wireSpan{lo, hi})
-		payload += rg.Length
-		call.wire += hi - lo
-	}
-	call.spans = spans
-	if len(spans) == 0 {
-		return nil
-	}
-	call.batch, call.local = spans, r.Local
-	if c.tracking.Load() {
-		call.trackName = r.Name
-	}
-	if err := c.pushMirrors(r, call, tt, allAck); err != nil {
-		return err
-	}
-	c.metrics.Pushes.Add(uint64(len(spans)))
-	c.metrics.PushedBytes.Add(payload)
-	c.metrics.PushLatency.ObserveDuration(c.clock.Now() - start)
-	return nil
 }
 
 // Fetch reads n bytes at offset from the first mirror that answers,

@@ -204,8 +204,8 @@ func TestPushWithoutAlignment(t *testing.T) {
 }
 
 // TestPushSpansSendsSpansAsGiven: WireSpan names what Push would send —
-// honouring the alignment options — and PushSpansTraced sends a span
-// exactly as given, so a caller that could only claim the bare range
+// honouring the alignment options — and an exact PushBatch entry sends a
+// span exactly as given, so a caller that could only claim the bare range
 // ships no byte beyond it.
 func TestPushSpansSendsSpansAsGiven(t *testing.T) {
 	r := newRig(t, 1)
@@ -231,7 +231,7 @@ func TestPushSpansSendsSpansAsGiven(t *testing.T) {
 	for i := range reg.Local {
 		reg.Local[i] = 0xEE
 	}
-	if err := r.client.PushSpansTraced(reg, []Range{{Offset: 68, Length: 56}}, nil, false); err != nil {
+	if err := r.client.PushBatch([]Entry{{Region: reg, Range: Range{Offset: 68, Length: 56}, Exact: true}}, nil, false); err != nil {
 		t.Fatal(err)
 	}
 	if st := r.client.Stats(); st.WireBytes != 56 || st.Pushes != 1 {

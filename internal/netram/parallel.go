@@ -8,7 +8,7 @@
 // splits a region into read-chunk pieces and stripes them round-robin
 // across the mirrors holding the segment, aggregating NIC bandwidth the
 // way the paper's recovery argument assumes a network of workstations
-// can. ZeroRangeAcked clears a remote range without shipping a payload
+// can. ZeroRangeTo clears a remote range without shipping a payload
 // of zeroes — the transport does the zeroing server-side when it can.
 package netram
 
@@ -45,22 +45,26 @@ func ForEach(width, n int, fn func(i int) error) error {
 		wg     sync.WaitGroup
 	)
 	errs := make([]error, n)
-	for w := 0; w < width; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !failed.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if errs[i] = fn(i); errs[i] != nil {
-					failed.Store(true)
-					return
-				}
+	work := func() {
+		defer wg.Done()
+		for !failed.Load() {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
 			}
-		}()
+			if errs[i] = fn(i); errs[i] != nil {
+				failed.Store(true)
+				return
+			}
+		}
 	}
+	// The caller is one of the workers: width-1 goroutines to start and
+	// to wait for, and none at all once they have taken every index.
+	wg.Add(width)
+	for w := 1; w < width; w++ {
+		go work()
+	}
+	work()
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
@@ -163,60 +167,54 @@ func (c *Client) fetchChunkStriped(r *Region, eligible []int, ci int, off, n uin
 		r.Name, off, ErrAllMirrorsDown, lastErr)
 }
 
-// ZeroRangeAcked zeroes r[offset:offset+n] on every live mirror holding
-// the segment, joined on all of them (the PushAcked contract). Mirrors
-// whose transport can fill server-side pay one small request regardless
-// of n; the rest receive chunked writes of zeroes. The caller's local
-// bytes for the range must already be zero — recovery's republish
-// satisfies this because a freshly connected region starts zeroed and
-// only the fetched prefix is ever copied in.
-func (c *Client) ZeroRangeAcked(r *Region, offset, n uint64) error {
+// ZeroRangeTo zeroes r[offset:offset+n] on mirror i, if it is live and
+// holds the segment. A transport that can fill server-side pays one small
+// request regardless of n; another receives chunked writes of zeroes. The
+// caller's local bytes for the range must already be zero — recovery's
+// republish satisfies this because a freshly connected region starts
+// zeroed and only the elected log prefix is ever copied in.
+func (c *Client) ZeroRangeTo(i int, r *Region, offset, n uint64) error {
 	if err := r.checkRange(offset, n); err != nil {
 		return err
 	}
-	if n == 0 {
-		return nil
-	}
 	c.topoMu.RLock()
 	defer c.topoMu.RUnlock()
-	var zeroes []byte
-	for i, m := range c.mirrors {
-		if r.handles[i].ID == 0 || c.isDown(i) {
-			continue
+	if i < 0 || i >= len(c.mirrors) {
+		return fmt.Errorf("netram: no mirror %d", i)
+	}
+	if n == 0 || r.handles[i].ID == 0 || c.isDown(i) {
+		return nil
+	}
+	m, seg := c.mirrors[i], r.handles[i].ID
+	f, fills := m.T.(transport.Filler)
+	zero := func() error {
+		if fills {
+			return f.Fill(seg, offset, n)
 		}
-		seg := r.handles[i].ID
-		f, fills := m.T.(transport.Filler)
-		zero := func() error {
-			if fills {
-				return f.Fill(seg, offset, n)
+		zeroes := make([]byte, min(n, c.readChunk))
+		for done := uint64(0); done < n; {
+			step := min(n-done, uint64(len(zeroes)))
+			if err := m.T.Write(seg, offset+done, zeroes[:step]); err != nil {
+				return err
 			}
-			if zeroes == nil {
-				zeroes = make([]byte, min(n, c.readChunk))
-			}
-			for done := uint64(0); done < n; {
-				step := min(n-done, uint64(len(zeroes)))
-				if err := m.T.Write(seg, offset+done, zeroes[:step]); err != nil {
-					return err
-				}
-				done += step
-			}
+			done += step
+		}
+		return nil
+	}
+	// Zeroing is idempotent, so the whole operation replays on a
+	// transient failure; a node that is gone is absorbed by degradation,
+	// like a push — the survivors carry the range.
+	if _, err := c.withRetry(m, i, zero); err != nil {
+		if c.isDown(i) {
 			return nil
 		}
-		// Zeroing is idempotent, so the whole operation replays on a
-		// transient failure; a node that is gone is absorbed by
-		// degradation, like a push — the survivors carry the range.
-		if _, err := c.withRetry(m, i, zero); err != nil {
-			if c.isDown(i) {
-				continue
-			}
-			return fmt.Errorf("netram: zero %q on mirror %s: %w", r.Name, m.Name, err)
-		}
-		if !fills {
-			// Once per zeroed mirror, as a push counts once per acked job:
-			// a replayed attempt's chunks are not new payload.
-			c.metrics.WireBytes.Add(n)
-		}
-		c.metrics.Pushes.Inc()
+		return fmt.Errorf("netram: zero %q on mirror %s: %w", r.Name, m.Name, err)
 	}
+	if !fills {
+		// Once, as a push counts once per acked job: a replayed attempt's
+		// chunks are not new payload.
+		c.metrics.WireBytes.Add(n)
+	}
+	c.metrics.Pushes.Inc()
 	return nil
 }

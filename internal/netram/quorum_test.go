@@ -365,7 +365,7 @@ func (e *errSeq) WriteBatch(writes []transport.BatchWrite) error {
 	return nil
 }
 
-// Fill makes errSeq a transport.Filler, so ZeroRangeAcked takes the
+// Fill makes errSeq a transport.Filler, so ZeroRangeTo takes the
 // server-side fill path through the same script.
 func (e *errSeq) Fill(seg uint32, offset, n uint64) error {
 	if err := e.next(); err != nil {
@@ -396,7 +396,7 @@ func TestRetryErrorSurfacesFinalAttempt(t *testing.T) {
 	ops := map[string]func(*Client, *Region) error{
 		"write": func(c *Client, reg *Region) error { return c.Push(reg, 0, 8) },
 		"batch": func(c *Client, reg *Region) error { return c.PushMany(reg, []Range{{Offset: 0, Length: 8}}) },
-		"fill":  func(c *Client, reg *Region) error { return c.ZeroRangeAcked(reg, 64, 128) },
+		"fill":  func(c *Client, reg *Region) error { return c.ZeroRangeTo(0, reg, 64, 128) },
 	}
 	for name, op := range ops {
 		t.Run(name, func(t *testing.T) {

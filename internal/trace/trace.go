@@ -43,7 +43,7 @@ const (
 	// abort, conflict.
 	LayerEngine Layer = iota
 	// LayerCore is the PERSEAS commit-path phases inside core: the
-	// local undo copy, the undo push, the range push, the word push.
+	// local undo copy and the commit push.
 	LayerCore
 	// LayerNetram is the network-RAM client: per-mirror writes,
 	// fetches, retries, rebuild copies.
@@ -110,7 +110,7 @@ type Span struct {
 	ID, Parent uint64
 	// Layer is the stack layer that emitted the span.
 	Layer Layer
-	// Name labels the work ("commit", "range_push", a mirror label).
+	// Name labels the work ("commit", "commit_push", a mirror label).
 	Name string
 	// Start is the recorder clock's reading when the span opened; Dur
 	// is how long it stayed open (0 for instants).
