@@ -2,12 +2,12 @@
 
 GO ?= go
 
-.PHONY: all check build vet test test-short test-race test-soak-netram test-soak-bench bench bench-obs bench-fanout bench-quorum bench-shard bench-server bench-recovery experiments fuzz examples clean
+.PHONY: all check build vet test test-short test-race test-soak-netram test-soak-bench test-soak-core bench bench-obs bench-fanout bench-quorum bench-shard bench-server bench-recovery experiments fuzz examples clean
 
 all: build vet test
 
 # The full pre-merge gate: build, vet, tests, and the race detector.
-check: build vet test test-race test-soak-bench
+check: build vet test test-race test-soak-bench test-soak-core
 
 build:
 	$(GO) build ./...
@@ -36,6 +36,13 @@ test-soak-netram:
 # data race, and only on some interleavings.
 test-soak-bench:
 	GOMAXPROCS=2 $(GO) test -race -count=50 ./internal/bench
+
+# The commit path's crash points and the recovery that settles them,
+# race detector on, twenty times over on two cores: recovery reads every
+# mirror side by side and the commit batch joins on sender workers, so
+# the enumeration has to hold on the interleavings too.
+test-soak-core:
+	GOMAXPROCS=2 $(GO) test -race -count=20 -timeout 30m -run 'CrashPoint|Recovery|Abort' ./internal/core
 
 # Skips the soak test and the `go run` example harness.
 test-short:

@@ -1203,7 +1203,12 @@ func runShard(w io.Writer, txs int) error {
 		return err
 	}
 	const (
-		delay   = 100 * time.Microsecond
+		// A commit is one write exchange per mirror, so one exchange's
+		// service time is the whole of a transaction's claim on its
+		// link: 300µs keeps that claim what it was when a commit was
+		// three exchanges of 100µs, and the sweep link-bound — which is
+		// what it exists to show — rather than bound by this host's CPUs.
+		delay   = 300 * time.Microsecond
 		workers = 8
 	)
 	perWorker := txs / workers

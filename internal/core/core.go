@@ -9,14 +9,15 @@
 //  1. Tx.SetRange copies the before-image of the declared range into a
 //     local undo log. Nothing leaves the node.
 //  2. The application updates the declared ranges in place.
-//  3. Tx.Commit pushes the transaction's log records to the remote undo
-//     log (one batch), then every modified range to the mirrored remote
-//     database (one batch per database), and then publishes the
-//     transaction id with one small remote write of the commit word —
-//     the atomic commit point. Each push joins before the next starts:
-//     no reader looks at a remote undo record before its transaction's
-//     ranges reach a mirror, so the records only have to get there
-//     first, not early.
+//  3. Tx.Commit sends every mirror one ordered batch — the transaction's
+//     log records for the remote undo log, then every modified range for
+//     the mirrored remote database, then the transaction id as one small
+//     write of the commit word, the atomic commit point — and joins
+//     once. A mirror applies the batch in order, so it never holds a
+//     modified byte without the record that restores it, nor the word
+//     without every byte it commits; no reader looks at a remote undo
+//     record before its transaction's ranges reach that mirror, so the
+//     records only have to get there first, not early.
 //
 // Where the paper's library serves one sequential application, this
 // implementation hands out explicit transaction handles and lets many
@@ -31,12 +32,21 @@
 // one writer until its transaction finishes.
 //
 // Abort restores the declared ranges from the transaction's undo slot
-// with plain local memory copies. After a primary-node crash, Recover
-// reconnects to the surviving remote segments by name, rolls the remote
-// database back with each slot's remote undo log if an in-flight
-// transaction had started propagating updates, and re-fetches the
-// database — the paper's Section 3 recovery procedure, applied per
-// transaction slot.
+// with plain local memory copies, and takes back — as one batch, in the
+// reverse order — whatever a failed commit batch left on any mirror.
+//
+// What one mirror holds after a crash says nothing about another: a
+// commit batch in flight is on some and not on others, whole or not at
+// all. So after a primary-node crash Recover reconnects to the surviving
+// remote segments by name, reads every reachable mirror, and settles each
+// transaction slot by election — the highest commit word any of them
+// holds, the longest log among that word's holders. It rolls the remote
+// database back with the slot's remote undo log if an in-flight
+// transaction had started propagating updates, brings the mirrors found
+// to differ to what it elected, and re-fetches the database — the
+// paper's Section 3 recovery procedure, applied per transaction slot and
+// per mirror. Committing at a quorum of w < n mirrors (netram.WithQuorum)
+// changes a parameter of this, not the procedure.
 package core
 
 import (
@@ -177,8 +187,8 @@ type undoSlot struct {
 	// push the last transaction enqueued has reached every mirror. This
 	// keeps the per-slot undo log's remote copies prefix-consistent —
 	// at most the HEAD transaction of a slot can be partially
-	// propagated at a crash, which is what quorum recovery's
-	// forward-repair step relies on. The zero Fence is already Done, so
+	// propagated at a crash, which is what recovery's forward-repair
+	// step relies on. The zero Fence is already Done, so
 	// all-ack clients never wait.
 	fence netram.Fence
 }

@@ -40,6 +40,7 @@ func newRig(t *testing.T, nMirrors int, opts ...Option) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(net.Close) // stops the sender workers, which pin every region
 	lib, err := Init(net, clock, opts...)
 	if err != nil {
 		t.Fatal(err)

@@ -92,6 +92,7 @@ func newDroppyRig(t *testing.T) (*Library, *netram.Client, *droppy, []*memserver
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(net.Close)
 	lib, err := Init(net, clock)
 	if err != nil {
 		t.Fatal(err)

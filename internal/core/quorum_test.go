@@ -82,6 +82,7 @@ func newQuorumCrashRig(t *testing.T, n, w int, stalled ...int) *quorumCrashRig {
 		t.Fatal(err)
 	}
 	r.net = net
+	t.Cleanup(net.Close) // registered first, so it runs after the gate opens
 	lib, err := Init(net, r.clock)
 	if err != nil {
 		t.Fatal(err)
@@ -118,6 +119,7 @@ func (r *quorumCrashRig) attach(t *testing.T, w int) (*Library, *netram.Client) 
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(net.Close)
 	lib, err := Attach(net, r.clock)
 	if err != nil {
 		t.Fatalf("attach after quorum crash: %v", err)
@@ -337,5 +339,54 @@ func TestQuorumRecoveryRollsBackInFlight(t *testing.T) {
 	}
 	for _, m := range mismatches {
 		t.Errorf("post-rollback divergence: %v", m)
+	}
+}
+
+// TestLaggingMirrorLeavesBeforeTheSlotsRunOut: at quorum every commit a
+// straggler has not taken yet keeps its undo slot out of reuse (the
+// fence), and a commit is one queued write. A mirror that stops taking
+// writes must therefore overflow its catch-up queue and leave the data
+// path while there are still slots to begin transactions in; were the
+// queue as deep as the slot cap, Begin would fail busy first.
+func TestLaggingMirrorLeavesBeforeTheSlotsRunOut(t *testing.T) {
+	r := newQuorumCrashRig(t, 3, 2, 2)
+	db, err := r.lib.CreateDB("bank", 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.lib.InitDB(db); err != nil {
+		t.Fatal(err)
+	}
+	r.net.WaitCatchUp()
+	commit := func(i int) {
+		t.Helper()
+		tx, err := r.lib.BeginTx()
+		if err != nil {
+			t.Fatalf("Begin %d with a stalled straggler: %v", i, err)
+		}
+		if err := tx.SetRange(db, 0, 8); err != nil {
+			t.Fatal(err)
+		}
+		db.Bytes()[0] = byte(i)
+		if err := tx.Commit(); err != nil {
+			t.Fatalf("2-of-3 commit %d with a stalled straggler: %v", i, err)
+		}
+	}
+	r.engageStalls()
+	n := 0
+	for ; !r.net.MirrorDown(2); n++ {
+		commit(n)
+	}
+	// The straggler finishes the one write it was parked in; everything
+	// queued behind it is dropped, the mirror being down, and the fences
+	// that pinned the slots clear.
+	r.stalls[0].stall.Store(false)
+	r.gate <- struct{}{}
+	r.net.WaitCatchUp()
+	for i := 0; i < 2*maxUndoSlots; i++ {
+		commit(n + i)
+	}
+	if got := len(r.lib.slots); got >= maxUndoSlots {
+		t.Errorf("%d undo slots allocated, the cap", got)
 	}
 }

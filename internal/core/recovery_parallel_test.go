@@ -124,6 +124,7 @@ func attachParallel(t *testing.T, servers []*memserver.Server, clock simclock.Cl
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(net.Close)
 	var opts []Option
 	if workers > 1 {
 		opts = append(opts, WithRecoveryParallelism(workers))
@@ -175,6 +176,7 @@ func buildAllAckCrash(t *testing.T) ([]*memserver.Server, *simclock.SimClock) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(net.Close)
 	lib, err := Init(net, clock)
 	if err != nil {
 		t.Fatal(err)
@@ -459,6 +461,7 @@ func TestQuorumRepublishShipsPrefixOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(net.Close)
 	lib, err := Init(net, clock, WithUndoLogSize(undoSize))
 	if err != nil {
 		t.Fatal(err)

@@ -131,6 +131,7 @@ func freshClient(t *testing.T, servers []*memserver.Server, clock simclock.Clock
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(net.Close)
 	return net
 }
 

@@ -1,6 +1,6 @@
 // Replication fan-out: the one mechanism behind Push, PushMany and
-// PushBatch. A push becomes one job per eligible mirror; each job runs on its
-// mirror's long-lived sender worker — or inline on the caller's
+// PushBatch. A push becomes one job per eligible mirror; each job runs
+// on its mirror's long-lived sender worker — or inline on the caller's
 // goroutine — and the caller joins on the first `need` acks. Over real
 // transports the wall-clock cost of a commit is therefore the slowest
 // needed mirror, not the sum of all of them: the posted-write behaviour
@@ -38,8 +38,14 @@ import (
 // here until their turn. A mirror that falls further behind than this
 // is degraded (and its queued writes dropped), handing it to the
 // guardian's revive/rebuild path rather than letting unbounded lag
-// accumulate.
-const catchUpQueueLen = 64
+// accumulate. The bound is in writes, and the transaction library's
+// commit is one write: every commit a mirror lags by pins one undo slot
+// behind its fence, so the bound has to stay well under the library's
+// slot cap (64) — or a hung mirror would exhaust the slots, and stall
+// every Begin, before it ever overflowed its queue and left the data
+// path. 32 commits is also more lag than the 64 writes of a
+// three-write commit used to allow.
+const catchUpQueueLen = 32
 
 // errMirrorDown marks a write dropped because its mirror was degraded
 // before the write ran. Dropping instead of writing keeps a down
@@ -355,8 +361,8 @@ func (c *Client) finishJob(j *fanoutJob) {
 // pushMirrors propagates call's payload to every eligible mirror — the
 // live ones holding at least one of its regions, each receiving the
 // spans of the regions it holds; only >= 0 narrows that to one slot — as
-// one dispatch loop, one join, one collect. need is every dispatched mirror
-// (all-ack clients, and the *Acked pushes of quorum clients) or
+// one dispatch loop, one join, one collect. need is every dispatched
+// mirror (all-ack clients, and the acked pushes of quorum clients) or
 // min(w, dispatched). The mid-flight-loss policy, stated once:
 //
 //   - a mirror that is down when its job finishes — its ping failed

@@ -903,11 +903,11 @@ func (c *Client) FetchInto(r *Region, offset, n uint64) error {
 }
 
 // FetchMirror reads n bytes at offset from mirror i specifically,
-// bypassing the first-answering fallback. Quorum recovery uses it to
-// compare replicas and to repair lagging mirrors from a quorum-current
-// one; the mirror is read even when marked down, since a degraded
-// replica's (stale but prefix-consistent) state is exactly what the
-// reconciliation needs to see.
+// bypassing the first-answering fallback. Recovery uses it to compare
+// replicas and to repair lagging mirrors from a current one; the mirror
+// is read even when marked down, since a degraded replica's (stale but
+// prefix-consistent) state is exactly what the reconciliation needs to
+// see. The returned bytes are the caller's to keep.
 func (c *Client) FetchMirror(i int, r *Region, offset, n uint64) ([]byte, error) {
 	if err := r.checkRange(offset, n); err != nil {
 		return nil, err

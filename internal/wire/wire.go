@@ -49,7 +49,7 @@ const (
 	OpStats
 	// OpWriteBatch applies several writes in one exchange, validated
 	// together and applied atomically. One round trip covers a whole
-	// commit's range pushes on the TCP transport.
+	// commit on the TCP transport.
 	OpWriteBatch
 	// OpDisconnect drops one client reference to a connected segment
 	// (the inverse of OpConnect), so a client abandoning a half-built
