@@ -112,7 +112,7 @@ type repairOp struct {
 // allocates in proportion to the records actually written. recs alias
 // it (or an earlier, shorter incarnation that keeps its bytes).
 type slotLog struct {
-	l      *Library
+	net    *netram.Client
 	mirror int
 	region *netram.Region
 	chunk  uint64
@@ -131,7 +131,7 @@ func (lg *slotLog) ensure(n uint64) ([]byte, error) {
 	if target <= have {
 		return lg.buf, nil
 	}
-	data, err := lg.l.net.FetchMirror(lg.mirror, lg.region, have, target-have)
+	data, err := lg.net.FetchMirror(lg.mirror, lg.region, have, target-have)
 	if err != nil {
 		return nil, fmt.Errorf("perseas: fetch undo log from mirror %d: %w", lg.mirror, err)
 	}
@@ -516,7 +516,7 @@ func (rc *recovery) electLog(k int) ([]slotLog, int, error) {
 	logs := make([]slotLog, len(rc.copies))
 	_ = netram.ForEach(len(logs), len(logs), func(i int) error {
 		lg := &logs[i]
-		*lg = slotLog{l: rc.l, mirror: rc.copies[i].idx, region: rs.region, chunk: undoProbe}
+		*lg = slotLog{net: rc.l.net, mirror: rc.copies[i].idx, region: rs.region, chunk: undoProbe}
 		if i == 0 {
 			lg.chunk = undoChunk
 		}

@@ -465,9 +465,9 @@ func (t *Tx) push(parent trace.SpanRef, p parts, allAck, undoing bool) error {
 	if len(batch) == 0 {
 		return nil // an Abort with nothing logged and nothing sent
 	}
-	var bytes uint64
+	var payload uint64
 	for _, e := range batch {
-		bytes += e.Length
+		payload += e.Length
 	}
 	t.sent |= p
 	phase := l.clock.Now()
@@ -485,7 +485,7 @@ func (t *Tx) push(parent trace.SpanRef, p parts, allAck, undoing bool) error {
 	sp.EndN(uint64(len(batch)))
 	l.metrics.Push.ObserveDuration(l.clock.Now() - phase)
 	l.metrics.PushEntries.Observe(uint64(len(batch)))
-	l.metrics.PushBytes.Observe(bytes)
+	l.metrics.PushBytes.Observe(payload)
 	return nil
 }
 

@@ -20,10 +20,11 @@ import (
 	"github.com/ics-forth/perseas/internal/transport"
 )
 
-// ForEach calls fn(i) for every i in [0,n) on up to width goroutines,
-// handing indices out in increasing order, and returns the error of the
-// lowest index that failed. No index is started after a failure, so
-// every index below the failing one has run. At width <= 1 (or n <= 1)
+// ForEach calls fn(i) for every i in [0,n) on up to width goroutines
+// (the caller's is one of them), handing indices out in increasing
+// order, and returns the error of the lowest index that failed. No index
+// is started after a failure, so every index below the failing one has
+// run. At width <= 1 (or n <= 1)
 // it is a plain loop on the caller's goroutine. It is the one worker
 // pool of crash repair: core's recovery phases, the striped fetch and
 // the rebuild copy all take their width as its first argument.
@@ -46,7 +47,6 @@ func ForEach(width, n int, fn func(i int) error) error {
 	)
 	errs := make([]error, n)
 	work := func() {
-		defer wg.Done()
 		for !failed.Load() {
 			i := int(next.Add(1)) - 1
 			if i >= n {
@@ -59,10 +59,13 @@ func ForEach(width, n int, fn func(i int) error) error {
 		}
 	}
 	// The caller is one of the workers: width-1 goroutines to start and
-	// to wait for, and none at all once they have taken every index.
-	wg.Add(width)
+	// to wait for.
+	wg.Add(width - 1)
 	for w := 1; w < width; w++ {
-		go work()
+		go func() {
+			defer wg.Done()
+			work()
+		}()
 	}
 	work()
 	wg.Wait()
