@@ -289,6 +289,7 @@ func TestPushBatchTracksDirtySpansPerRegion(t *testing.T) {
 	if err := c.PushBatch(commitBatch(undo, db, meta), nil, false); err != nil {
 		t.Fatal(err)
 	}
+	c.WaitCatchUp() // the last job to let go of the push records its spans
 	c.tracking.Store(false)
 	got := c.swapDirty()
 	want := map[string][]Range{
