@@ -48,11 +48,11 @@ type recoveredSlot struct {
 	lacking   []int
 }
 
-// fetchMetaCopies reads the metadata region from every mirror at once.
-// Recovery needs at least n-w+1 copies: a commit word acked by w of n
+// fetchMetaCopies reads the metadata region from every mirror, up to
+// workers at a time. Recovery needs at least n-w+1 copies: a commit word acked by w of n
 // mirrors is then guaranteed to appear in at least one, so the per-slot
 // maximum over the copies recovers every committed word.
-func (l *Library) fetchMetaCopies(meta *netram.Region) ([]mirrorCopy, error) {
+func (l *Library) fetchMetaCopies(meta *netram.Region, workers int) ([]mirrorCopy, error) {
 	n := l.net.Mirrors()
 	w := n
 	if q := l.net.Quorum(); q > 0 {
@@ -63,7 +63,7 @@ func (l *Library) fetchMetaCopies(meta *netram.Region) ([]mirrorCopy, error) {
 	// Unreachable mirrors are expected here — they are why recovery is
 	// running — so a fetch failure is recorded per index, never returned,
 	// and the remaining mirrors are always tried.
-	_ = netram.ForEach(n, n, func(i int) error {
+	_ = netram.ForEach(workers, n, func(i int) error {
 		bufs[i], errs[i] = l.net.FetchMirror(i, meta, 0, meta.Size())
 		return nil
 	})
@@ -224,12 +224,11 @@ func (l *Library) RecoverWithDecisions(decided map[int]uint64) error {
 // recovery carries one run of the procedure from phase to phase: what
 // the metadata said, the regions reconnected so far, the repairs the
 // slot scan staged and what each mirror was found to lack. The phases are
-// the same at every quorum — all-ack is w = n — and every width. The
-// per-mirror reads of one unit (the metadata copies, one slot's logs)
-// always run side by side; beyond that every phase spreads its
-// independent units — slot reconnects and scans, database fetches,
-// winner fetches, per-mirror republishes — over netram.ForEach at the
-// configured width, and database fetches additionally stripe read chunks
+// the same at every quorum — all-ack is w = n — and every width: every
+// phase spreads its independent units — the mirrors' metadata copies,
+// slot reconnects and scans and within a scan the mirrors' logs,
+// database fetches, winner fetches, per-mirror republishes — over
+// netram.ForEach at the configured width, and database fetches additionally stripe read chunks
 // across the surviving mirrors; at width 1 (the default) that is the
 // same pipeline run inline on the caller's goroutine. The recovered
 // state is byte-identical at every width: slots hold disjoint ranges,
@@ -328,7 +327,7 @@ func (rc *recovery) metaFetch() error {
 	if err != nil {
 		return fmt.Errorf("perseas: reconnect metadata: %w", err)
 	}
-	if rc.copies, err = l.fetchMetaCopies(rc.meta); err != nil {
+	if rc.copies, err = l.fetchMetaCopies(rc.meta, rc.workers); err != nil {
 		return fmt.Errorf("perseas: fetch metadata: %w", err)
 	}
 	copy(rc.meta.Local, rc.copies[0].buf)
@@ -498,8 +497,7 @@ func (rc *recovery) slotScan() error {
 	return nil
 }
 
-// electLog scans slot k's log on every reachable mirror, side by side,
-// and adopts the longest prefix among the word holders' into the local
+// electLog scans slot k's log on every reachable mirror and adopts the longest prefix among the word holders' into the local
 // region. It returns the logs and the winner's index. The first mirror
 // is read in undoChunk pieces, as a lone mirror always was — its prefix
 // is the local image unless another wins, and that one is then read as
@@ -514,7 +512,7 @@ func (rc *recovery) electLog(k int) ([]slotLog, int, error) {
 		threshold--
 	}
 	logs := make([]slotLog, len(rc.copies))
-	_ = netram.ForEach(len(logs), len(logs), func(i int) error {
+	_ = netram.ForEach(rc.workers, len(logs), func(i int) error {
 		lg := &logs[i]
 		*lg = slotLog{net: rc.l.net, mirror: rc.copies[i].idx, region: rs.region, chunk: undoProbe}
 		if i == 0 {
