@@ -2,12 +2,13 @@
 
 GO ?= go
 
-.PHONY: all check build vet test test-short test-race test-soak-netram test-soak-bench test-soak-core bench bench-obs bench-fanout bench-quorum bench-shard bench-server bench-recovery experiments fuzz examples clean
+.PHONY: all check build vet test test-short test-race test-soak-netram test-soak-bench test-soak-core bench-smoke bench bench-obs bench-fanout bench-quorum bench-shard bench-server bench-recovery experiments fuzz examples clean
 
 all: build vet test
 
-# The full pre-merge gate: build, vet, tests, and the race detector.
-check: build vet test test-race test-soak-bench test-soak-core
+# The full pre-merge gate: build, vet, tests, the race detector, the
+# three soaks CI runs, and the wall-clock benchmark at toy sizes.
+check: build vet test test-race test-soak-netram test-soak-bench test-soak-core bench-smoke
 
 build:
 	$(GO) build ./...
@@ -43,6 +44,12 @@ test-soak-bench:
 # the enumeration has to hold on the interleavings too.
 test-soak-core:
 	GOMAXPROCS=2 $(GO) test -race -count=20 -timeout 30m -run 'CrashPoint|Recovery|Abort' ./internal/core
+
+# The wall-clock benchmark end to end at toy sizes (1 s windows, every
+# workload untraced then traced, correctness checks on): says that the
+# benchmark still runs against this tree, nothing about speed.
+bench-smoke:
+	$(GO) run ./benchmark -smoke
 
 # Skips the soak test and the `go run` example harness.
 test-short:

@@ -310,7 +310,7 @@ func runTable1(w io.Writer, txs int) error {
 		if err != nil {
 			return err
 		}
-		_ = lab.Engine.Close()
+		_ = lab.Close()
 		results = append(results, res)
 	}
 	bench.RenderTable1(w, results)
@@ -347,7 +347,7 @@ func runCompare(w io.Writer, txs int) error {
 			if err != nil {
 				return fmt.Errorf("%s on %s: %w", wl.name, b.Name, err)
 			}
-			_ = lab.Engine.Close()
+			_ = lab.Close()
 			results = append(results, res)
 		}
 	}
@@ -370,7 +370,7 @@ func runDBSize(w io.Writer, txs int) error {
 		if err != nil {
 			return err
 		}
-		_ = lab.Engine.Close()
+		_ = lab.Close()
 		rows = append(rows, bench.DBSizeRow{
 			Branches: branches,
 			DBBytes:  workload.DBBytes(),
@@ -412,7 +412,7 @@ func runAblate(w io.Writer, txs int) error {
 		if err != nil {
 			return err
 		}
-		_ = lab.Engine.Close()
+		_ = lab.Close()
 		rows = append(rows, bench.AblationRow{Config: c.name, TPS: res.TPS, PerTx: res.PerTx})
 	}
 	// The 64-byte expansion matters most for mid-size unaligned writes,
@@ -433,7 +433,7 @@ func runAblate(w io.Writer, txs int) error {
 		if err != nil {
 			return err
 		}
-		_ = lab.Engine.Close()
+		_ = lab.Close()
 		name := "synthetic-200, aligned"
 		if noAlign {
 			name = "synthetic-200, no alignment"
@@ -492,7 +492,7 @@ func runRecovery(w io.Writer, _ int) error {
 			InFlightRanges: ranges,
 			Elapsed:        lab.Clock.Now() - t0,
 		})
-		_ = lab.Engine.Close()
+		_ = lab.Close()
 	}
 	bench.RenderRecovery(w, rows)
 	// The parallel recovery and rebuild sweeps time wall-clock speedups
@@ -517,12 +517,35 @@ type slowLink struct {
 	transport.Transport
 	delay time.Duration
 	mu    sync.Mutex
+	// load, when set, is shared by the links of one sweep arm and counts
+	// how many of them are transferring at once.
+	load *linkLoad
+}
+
+// linkLoad counts the links busy at one moment and remembers the most
+// it saw: the overlap a sweep arm achieved, as a count — 1 for a serial
+// arm whatever the host, and what the speedup column is made of.
+type linkLoad struct {
+	mu         sync.Mutex
+	busy, peak int
+}
+
+func (l *linkLoad) add(d int) {
+	if l == nil {
+		return
+	}
+	l.mu.Lock()
+	l.busy += d
+	l.peak = max(l.peak, l.busy)
+	l.mu.Unlock()
 }
 
 func (s *slowLink) pause() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.load.add(1)
 	time.Sleep(s.delay)
+	s.load.add(-1)
 }
 
 func (s *slowLink) Write(seg uint32, offset uint64, data []byte) error {
@@ -562,6 +585,8 @@ type recoverSweepRow struct {
 	Workers    int     `json:"workers"`
 	WallNs     int64   `json:"wall_ns"`
 	SpeedupVs1 float64 `json:"speedup_vs_serial"`
+	// LinksBusyMax is the most mirror links transferring at once.
+	LinksBusyMax int `json:"links_busy_max"`
 }
 
 // rebuildSweepRow is one row of the pipelined-rebuild sweep, for
@@ -570,6 +595,9 @@ type rebuildSweepRow struct {
 	Depth      int     `json:"pipeline_depth"`
 	WallNs     int64   `json:"wall_ns"`
 	SpeedupVs1 float64 `json:"speedup_vs_depth_1"`
+	// LinksBusyMax is the most links — survivors and spare —
+	// transferring at once.
+	LinksBusyMax int `json:"links_busy_max"`
 }
 
 // runRecoverySweep times crash recovery and mirror rebuild on the wall
@@ -590,7 +618,8 @@ func runRecoverySweep(w io.Writer) error {
 	fmt.Fprintf(w, "%8s %14s %10s\n", "workers", "recover", "speedup")
 	var recRows []recoverSweepRow
 	for _, workers := range []int{1, 2, 4} {
-		elapsed, err := recoverOnce(workers, recMirrors, recRegions, recSize, chunk, linkDelay)
+		var load linkLoad
+		elapsed, err := recoverOnce(workers, recMirrors, recRegions, recSize, chunk, linkDelay, &load)
 		if err != nil {
 			return err
 		}
@@ -600,7 +629,7 @@ func runRecoverySweep(w io.Writer) error {
 		}
 		recRows = append(recRows, recoverSweepRow{
 			Workers: workers, WallNs: elapsed.Nanoseconds(),
-			SpeedupVs1: math.Round(speedup*100) / 100,
+			SpeedupVs1: math.Round(speedup*100) / 100, LinksBusyMax: load.peak,
 		})
 		fmt.Fprintf(w, "%8d %14s %9.2fx\n", workers, elapsed.Round(time.Microsecond), speedup)
 	}
@@ -615,7 +644,8 @@ func runRecoverySweep(w io.Writer) error {
 	fmt.Fprintf(w, "%8s %14s %10s\n", "depth", "rebuild", "speedup")
 	var rebRows []rebuildSweepRow
 	for _, depth := range []int{1, 2} {
-		elapsed, err := rebuildOnce(depth, rebMirrors, rebRegions, rebSize, chunk, linkDelay)
+		var load linkLoad
+		elapsed, err := rebuildOnce(depth, rebMirrors, rebRegions, rebSize, chunk, linkDelay, &load)
 		if err != nil {
 			return err
 		}
@@ -625,7 +655,7 @@ func runRecoverySweep(w io.Writer) error {
 		}
 		rebRows = append(rebRows, rebuildSweepRow{
 			Depth: depth, WallNs: elapsed.Nanoseconds(),
-			SpeedupVs1: math.Round(speedup*100) / 100,
+			SpeedupVs1: math.Round(speedup*100) / 100, LinksBusyMax: load.peak,
 		})
 		fmt.Fprintf(w, "%8d %14s %9.2fx\n", depth, elapsed.Round(time.Microsecond), speedup)
 	}
@@ -651,7 +681,7 @@ func runRecoverySweep(w io.Writer) error {
 // crashes it with a transaction in flight, and times a fresh Attach —
 // connect, fetch, scan, roll back — through delay-serialised links at
 // the given recovery parallelism.
-func recoverOnce(workers, nMirrors, nRegions int, regionSize, chunk uint64, delay time.Duration) (time.Duration, error) {
+func recoverOnce(workers, nMirrors, nRegions int, regionSize, chunk uint64, delay time.Duration, load *linkLoad) (time.Duration, error) {
 	// Populate through undelayed transports: only recovery is timed.
 	servers := make([]*memserver.Server, nMirrors)
 	var seed []netram.Mirror
@@ -721,7 +751,7 @@ func recoverOnce(workers, nMirrors, nRegions int, regionSize, chunk uint64, dela
 			return 0, err
 		}
 		mirrors = append(mirrors, netram.Mirror{
-			Name: servers[i].Label(), T: &slowLink{Transport: tr, delay: delay},
+			Name: servers[i].Label(), T: &slowLink{Transport: tr, delay: delay, load: load},
 		})
 	}
 	ram2, err := netram.NewClient(mirrors, netram.WithReadChunk(chunk))
@@ -743,7 +773,7 @@ func recoverOnce(workers, nMirrors, nRegions int, regionSize, chunk uint64, dela
 // rebuildOnce populates regions on delay-serialised mirror links, kills
 // one mirror, and times RebuildMirror onto a fresh spare at the given
 // pipeline depth.
-func rebuildOnce(depth, nMirrors, nRegions int, regionSize, chunk uint64, delay time.Duration) (time.Duration, error) {
+func rebuildOnce(depth, nMirrors, nRegions int, regionSize, chunk uint64, delay time.Duration, load *linkLoad) (time.Duration, error) {
 	var links []*slowLink
 	var mirrors []netram.Mirror
 	for i := 0; i < nMirrors; i++ {
@@ -780,7 +810,7 @@ func rebuildOnce(depth, nMirrors, nRegions int, regionSize, chunk uint64, delay 
 		}
 	}
 	for _, l := range links {
-		l.delay = delay
+		l.delay, l.load = delay, load
 	}
 	if err := c.MarkMirrorDown(0); err != nil {
 		return 0, err
@@ -791,7 +821,7 @@ func rebuildOnce(depth, nMirrors, nRegions int, regionSize, chunk uint64, delay 
 		return 0, err
 	}
 	start := time.Now()
-	if err := c.RebuildMirror(0, netram.Mirror{Name: spare.Label(), T: &slowLink{Transport: tr, delay: delay}}, nil); err != nil {
+	if err := c.RebuildMirror(0, netram.Mirror{Name: spare.Label(), T: &slowLink{Transport: tr, delay: delay, load: load}}, nil); err != nil {
 		return 0, fmt.Errorf("rebuild at depth %d: %w", depth, err)
 	}
 	return time.Since(start), nil
@@ -818,7 +848,7 @@ func runCommitPath(w io.Writer, txs int) error {
 	}
 	fmt.Fprintln(w, "Commit-path phase breakdown — debit-credit, modelled time")
 	obs.WriteLatencyTable(w, "commit path", lib.CommitLatencyRows())
-	if err := lab.Engine.Close(); err != nil {
+	if err := lab.Close(); err != nil {
 		return err
 	}
 	if tcpCommitPath {
@@ -1142,6 +1172,9 @@ func runFanout(w io.Writer, txs int) error {
 		"results":        results,
 	}
 	if quorumW > 0 {
+		// The fan-out rows plus the straggler arms: its own artifact
+		// (BENCH_quorum.json), so it says which.
+		out["experiment"] = "quorum"
 		out["quorum"] = quorumW
 	}
 	benchResults = out
@@ -1380,7 +1413,7 @@ func runLatency(w io.Writer, txs int) error {
 		if err != nil {
 			return err
 		}
-		_ = lab.Engine.Close()
+		_ = lab.Close()
 		results = append(results, res)
 	}
 	bench.RenderLatency(w, results)
@@ -1403,7 +1436,7 @@ func runMixed(w io.Writer, txs int) error {
 		if err != nil {
 			return err
 		}
-		_ = lab.Engine.Close()
+		_ = lab.Close()
 		fmt.Fprintf(w, "%12.2f %12.0f %12v\n", frac, res.TPS, res.PerTx)
 	}
 	return nil
@@ -1457,7 +1490,7 @@ func runTrend(w io.Writer, txs int) error {
 		if err != nil {
 			return err
 		}
-		_ = perseasLab.Engine.Close()
+		_ = perseasLab.Close()
 
 		dcfg := defaultConfig()
 		dp := scaleDisk(disk.DefaultParams(dcfg.DeviceSize), diskF)
@@ -1475,7 +1508,7 @@ func runTrend(w io.Writer, txs int) error {
 		if err != nil {
 			return err
 		}
-		_ = rvmLab.Engine.Close()
+		_ = rvmLab.Close()
 
 		rows = append(rows, bench.TrendRow{
 			Year:       year,

@@ -103,6 +103,7 @@ func runServerCell(clients int, mode txserver.CommitMode) (*serverResult, error)
 	if err != nil {
 		return nil, err
 	}
+	defer ram.Close() // its sender workers pin the cell's regions
 	lib, err := core.Init(ram, simclock.NewWall())
 	if err != nil {
 		return nil, err

@@ -365,6 +365,12 @@ func run(out io.Writer, cfg config) error {
 					// Back off briefly so the claim winner finishes with
 					// the row instead of racing retries for the CPU.
 					time.Sleep(time.Duration(50+rng.Intn(150)) * time.Microsecond)
+				case errors.Is(err, engine.ErrBusy):
+					// Every undo slot is held — at quorum, by commits whose
+					// straggler mirror has not caught up. Nothing was
+					// started: wait for slots to retire, as a remote
+					// client does on a BUSY reply.
+					time.Sleep(time.Duration(500+rng.Intn(500)) * time.Microsecond)
 				default:
 					workerErrs[i] = fmt.Errorf(
 						"after %d transactions: %w", counters[i].committed.Load(), err)

@@ -413,10 +413,13 @@ func (s *Server) checkAlive() error {
 }
 
 // Handle services one wire request, producing the matching response.
-// Transport loops (TCP, in-process pipes) call this for every frame.
-func (s *Server) Handle(req *wire.Request) *wire.Response {
-	fail := func(err error) *wire.Response {
-		return &wire.Response{Status: wire.StatusError, Err: err.Error()}
+// Transport loops (TCP, in-process pipes) call this for every frame. It
+// retains nothing of req: every payload is validated, then copied into
+// its segment, before Handle returns — which is what lets a transport
+// loop decode the next request over the same buffer.
+func (s *Server) Handle(req *wire.Request) wire.Response {
+	fail := func(err error) wire.Response {
+		return wire.Response{Status: wire.StatusError, Err: err.Error()}
 	}
 	switch req.Op {
 	case wire.OpMalloc:
@@ -424,54 +427,54 @@ func (s *Server) Handle(req *wire.Request) *wire.Response {
 		if err != nil {
 			return fail(err)
 		}
-		return &wire.Response{Status: wire.StatusOK, Seg: seg.ID, Size: uint64(len(seg.Data))}
+		return wire.Response{Status: wire.StatusOK, Seg: seg.ID, Size: uint64(len(seg.Data))}
 	case wire.OpFree:
 		if err := s.Free(req.Seg); err != nil {
 			return fail(err)
 		}
-		return &wire.Response{Status: wire.StatusOK}
+		return wire.Response{Status: wire.StatusOK}
 	case wire.OpWrite:
 		if err := s.Write(req.Seg, req.Offset, req.Data); err != nil {
 			return fail(err)
 		}
-		return &wire.Response{Status: wire.StatusOK}
+		return wire.Response{Status: wire.StatusOK}
 	case wire.OpWriteBatch:
 		if err := s.WriteBatch(req.Batch); err != nil {
 			return fail(err)
 		}
-		return &wire.Response{Status: wire.StatusOK}
+		return wire.Response{Status: wire.StatusOK}
 	case wire.OpRead:
 		data, err := s.Read(req.Seg, req.Offset, req.Length)
 		if err != nil {
 			return fail(err)
 		}
-		return &wire.Response{Status: wire.StatusOK, Data: data}
+		return wire.Response{Status: wire.StatusOK, Data: data}
 	case wire.OpFill:
 		if err := s.Fill(req.Seg, req.Offset, req.Size); err != nil {
 			return fail(err)
 		}
-		return &wire.Response{Status: wire.StatusOK}
+		return wire.Response{Status: wire.StatusOK}
 	case wire.OpConnect:
 		seg, err := s.Connect(req.Name)
 		if err != nil {
 			return fail(err)
 		}
-		return &wire.Response{Status: wire.StatusOK, Seg: seg.ID, Size: uint64(len(seg.Data))}
+		return wire.Response{Status: wire.StatusOK, Seg: seg.ID, Size: uint64(len(seg.Data))}
 	case wire.OpDisconnect:
 		if err := s.Disconnect(req.Seg); err != nil {
 			return fail(err)
 		}
-		return &wire.Response{Status: wire.StatusOK}
+		return wire.Response{Status: wire.StatusOK}
 	case wire.OpList:
-		return &wire.Response{Status: wire.StatusOK, Segments: s.List()}
+		return wire.Response{Status: wire.StatusOK, Segments: s.List()}
 	case wire.OpPing:
 		if err := s.Probe(); err != nil {
 			return fail(err)
 		}
-		return &wire.Response{Status: wire.StatusOK}
+		return wire.Response{Status: wire.StatusOK}
 	case wire.OpStats:
 		st := s.Stats()
-		return &wire.Response{Status: wire.StatusOK, Stats: wire.ServerStats{
+		return wire.Response{Status: wire.StatusOK, Stats: wire.ServerStats{
 			Segments:     uint32(len(s.List())),
 			BytesHeld:    s.Held(),
 			WriteOps:     st.WriteOps,

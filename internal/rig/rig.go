@@ -143,6 +143,21 @@ type Lab struct {
 	ShardLabs []*ShardLab
 }
 
+// Close closes the engine and stops the sender workers of every
+// network-RAM client behind it. The workers reference their client, and
+// through it every region the lab mapped, for as long as they run: a
+// process that builds labs in a loop must close each one.
+func (l *Lab) Close() error {
+	err := l.Engine.Close()
+	if l.Net != nil {
+		l.Net.Close()
+	}
+	for _, sl := range l.ShardLabs {
+		sl.Net.Close()
+	}
+	return err
+}
+
 // ShardLab is one shard's slice of a sharded PERSEAS lab.
 type ShardLab struct {
 	Lib          *core.Library

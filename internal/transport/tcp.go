@@ -35,7 +35,7 @@ type TCP struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	closed bool
-	idle   []net.Conn
+	idle   []*tcpConn
 	// total counts live connections, idle plus checked out; callers wait
 	// on cond when it reaches tcpMaxConns and no connection is idle.
 	total int
@@ -133,19 +133,27 @@ func putQueuedWrite(q *queuedWrite) {
 	queuedWritePool.Put(q)
 }
 
+// tcpConn is one pooled connection. The codec travels with the socket:
+// its receive buffer may hold bytes read ahead of the frame last
+// decoded.
+type tcpConn struct {
+	nc net.Conn
+	*wire.Conn
+}
+
 // DialTCP connects to a memory server at addr.
 func DialTCP(addr string) (*TCP, error) {
 	conn, err := dialOne(addr)
 	if err != nil {
 		return nil, err
 	}
-	t := &TCP{addr: addr, idle: []net.Conn{conn}, total: 1}
+	t := &TCP{addr: addr, idle: []*tcpConn{conn}, total: 1}
 	t.cond = sync.NewCond(&t.mu)
 	t.metrics.Dials.Inc()
 	return t, nil
 }
 
-func dialOne(addr string) (net.Conn, error) {
+func dialOne(addr string) (*tcpConn, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
@@ -155,12 +163,12 @@ func dialOne(addr string) (net.Conn, error) {
 		// them against the peer's delayed ACKs.
 		_ = tc.SetNoDelay(true)
 	}
-	return conn, nil
+	return &tcpConn{nc: conn, Conn: wire.NewConn(conn)}, nil
 }
 
 // acquire checks a connection out of the pool, dialling a new one when
 // none is idle and the pool may still grow.
-func (t *TCP) acquire() (net.Conn, error) {
+func (t *TCP) acquire() (*tcpConn, error) {
 	t.mu.Lock()
 	waited := false
 	for {
@@ -198,12 +206,12 @@ func (t *TCP) acquire() (net.Conn, error) {
 
 // release returns a healthy connection to the pool; broken ones are
 // dropped so the next caller dials afresh.
-func (t *TCP) release(conn net.Conn, healthy bool) {
+func (t *TCP) release(conn *tcpConn, healthy bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if !healthy || t.closed {
 		t.total--
-		_ = conn.Close()
+		_ = conn.nc.Close()
 	} else {
 		t.idle = append(t.idle, conn)
 	}
@@ -211,26 +219,30 @@ func (t *TCP) release(conn net.Conn, healthy bool) {
 }
 
 // call performs one synchronous request/response exchange on a pooled
-// connection.
-func (t *TCP) call(req *wire.Request) (*wire.Response, error) {
+// connection. The response is decoded in place over the connection's
+// buffer, which is the next caller's once the connection is released;
+// only a READ's response has a payload, and that one the caller owns.
+func (t *TCP) call(req *wire.Request) (resp wire.Response, err error) {
 	t.metrics.Exchanges.Inc()
 	start := time.Now()
 	conn, err := t.acquire()
 	if err != nil {
-		return nil, err
+		return resp, err
 	}
-	if err := wire.SendRequest(conn, req); err != nil {
-		t.release(conn, false)
-		return nil, err
+	if err = conn.SendRequest(req); err == nil {
+		if req.Op == wire.OpRead {
+			err = conn.RecvResponseOwned(&resp)
+		} else {
+			err = conn.RecvResponse(&resp)
+			resp.Data = nil
+		}
 	}
-	resp, err := wire.RecvResponse(conn)
+	t.release(conn, err == nil)
 	if err != nil {
-		t.release(conn, false)
-		return nil, err
+		return resp, err
 	}
-	t.release(conn, true)
 	t.metrics.ExchangeLatency.ObserveDuration(time.Since(start))
-	return resp, respErr(resp)
+	return resp, respErr(&resp)
 }
 
 // Malloc implements Transport.
@@ -426,7 +438,7 @@ func (t *TCP) Close() error {
 	t.closed = true
 	var firstErr error
 	for _, conn := range t.idle {
-		if err := conn.Close(); err != nil && firstErr == nil {
+		if err := conn.nc.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 		t.total--
@@ -466,17 +478,20 @@ func Serve(l net.Listener, srv *memserver.Server) error {
 }
 
 // serveConn services one client connection until EOF or a protocol error.
+// The loop is synchronous and Handle retains nothing, so one request is
+// decoded in place over the connection's buffer again and again.
 func serveConn(conn net.Conn, srv *memserver.Server) {
 	if tc, ok := conn.(*net.TCPConn); ok {
 		_ = tc.SetNoDelay(true)
 	}
+	c := wire.NewConn(conn)
+	var req wire.Request
 	for {
-		req, err := wire.RecvRequest(conn)
-		if err != nil {
+		if err := c.RecvRequest(&req); err != nil {
 			return
 		}
-		resp := srv.Handle(req)
-		if err := wire.SendResponse(conn, resp); err != nil {
+		resp := srv.Handle(&req)
+		if err := c.SendResponse(&resp); err != nil {
 			return
 		}
 	}

@@ -159,7 +159,7 @@ func New(dial func() (net.Conn, error), opts ...Option) (*Client, error) {
 			c.Close()
 			return nil, fmt.Errorf("txclient: dial: %w", err)
 		}
-		p := &poolConn{c: nc, pending: make(map[uint64]chan callResult)}
+		p := &poolConn{c: nc, wc: wire.NewConn(nc), pending: make(map[uint64]chan callResult)}
 		go p.readLoop()
 		c.conns = append(c.conns, p)
 	}
@@ -307,11 +307,12 @@ func (c *Client) OpenDB(name string) (engine.DB, error) {
 	return d, nil
 }
 
-// txWrite is one declared range and its local before-image.
+// txWrite is one declared range; its local before-image is
+// clientTx.before[at : at+length].
 type txWrite struct {
 	db          *clientDB
 	off, length uint64
-	before      []byte
+	at          int
 }
 
 // clientTx is one remote transaction. Like every engine.Tx it is owned
@@ -323,6 +324,12 @@ type clientTx struct {
 	id     uint64
 	done   bool
 	writes []txWrite
+	// before is the transaction's arena of before-images, one append
+	// per declared range. It and writes start out in the handle itself,
+	// so a transaction of a few small ranges allocates neither.
+	before  []byte
+	writes0 [4]txWrite
+	before0 [128]byte
 	// tt buffers the client-side span tree (nil when tracing is off);
 	// root is the open "tx" span. Its trace id rides every request this
 	// handle sends, so the server's spans land in the same tree.
@@ -348,7 +355,9 @@ func (c *Client) Begin() (engine.Tx, error) {
 		})
 		rtt.End()
 		if err == nil {
-			return &clientTx{c: c, p: p, id: resp.Tx, tt: tt, root: root}, nil
+			t := &clientTx{c: c, p: p, id: resp.Tx, tt: tt, root: root}
+			t.writes, t.before = t.writes0[:0], t.before0[:0]
+			return t, nil
 		}
 		if attempt >= c.busyRetries || !errors.Is(err, ErrBusy) {
 			root.End()
@@ -392,8 +401,8 @@ func (t *clientTx) SetRange(db engine.DB, offset, length uint64) error {
 	if uint64(len(resp.Data)) == length {
 		t.refresh(d, offset, resp.Data)
 	}
-	before := append([]byte(nil), d.buf[offset:offset+length]...)
-	t.writes = append(t.writes, txWrite{db: d, off: offset, length: length, before: before})
+	t.writes = append(t.writes, txWrite{db: d, off: offset, length: length, at: len(t.before)})
+	t.before = append(t.before, d.buf[offset:offset+length]...)
 	return nil
 }
 
@@ -402,12 +411,13 @@ func (t *clientTx) SetRange(db engine.DB, offset, length uint64) error {
 // of this transaction covers.
 func (t *clientTx) refresh(d *clientDB, off uint64, data []byte) {
 	type span struct{ lo, hi uint64 }
-	spans := []span{{off, off + uint64(len(data))}}
+	end := off + uint64(len(data))
+	spans := []span{{off, end}}
 	for _, w := range t.writes {
-		if w.db != d {
+		wlo, whi := w.off, w.off+w.length
+		if w.db != d || whi <= off || wlo >= end {
 			continue
 		}
-		wlo, whi := w.off, w.off+w.length
 		next := spans[:0:0]
 		for _, s := range spans {
 			if whi <= s.lo || wlo >= s.hi {
@@ -429,7 +439,10 @@ func (t *clientTx) refresh(d *clientDB, off uint64, data []byte) {
 }
 
 // Commit implements engine.Tx: one batched request carries every
-// declared range's final local bytes and commits the transaction.
+// declared range's final local bytes and commits the transaction. The
+// ranges are encoded straight from the replica: the caller owns it, and
+// the transaction's claims keep everyone else off those bytes, until
+// the reply.
 func (t *clientTx) Commit() error {
 	if t.done {
 		return engine.ErrNoTransaction
@@ -440,7 +453,7 @@ func (t *clientTx) Commit() error {
 		batch = append(batch, wire.BatchEntry{
 			Seg:    w.db.handle,
 			Offset: w.off,
-			Data:   append([]byte(nil), w.db.buf[w.off:w.off+w.length]...),
+			Data:   w.db.buf[w.off : w.off+w.length],
 		})
 	}
 	rtt := t.tt.Start(trace.LayerClient, "commit_rtt")
@@ -471,7 +484,7 @@ func (t *clientTx) Abort() error {
 	t.done = true
 	for i := len(t.writes) - 1; i >= 0; i-- {
 		w := t.writes[i]
-		copy(w.db.buf[w.off:], w.before)
+		copy(w.db.buf[w.off:], t.before[w.at:w.at+int(w.length)])
 	}
 	rtt := t.tt.Start(trace.LayerClient, "abort_rtt")
 	_, err := t.c.call(t.p, &wire.Request{
@@ -524,7 +537,10 @@ type callResult struct {
 // poolConn is one pooled connection: a write mutex serialises frames
 // out, a reader goroutine routes replies back by correlation ID.
 type poolConn struct {
-	c   net.Conn
+	c net.Conn
+	// wc frames c: callers send on it under wmu, the reader goroutine
+	// receives.
+	wc  *wire.Conn
 	wmu sync.Mutex
 
 	mu      sync.Mutex
@@ -533,34 +549,42 @@ type poolConn struct {
 	err     error
 }
 
+// replyChans recycles the one-reply channels calls wait on: a channel
+// is back to empty, and referenced by nobody else, once its caller has
+// received its single result.
+var replyChans = sync.Pool{New: func() any { return make(chan callResult, 1) }}
+
 // call sends req with correlation id and blocks for its reply.
 func (p *poolConn) call(id uint64, req *wire.Request) (*wire.Response, error) {
-	ch := make(chan callResult, 1)
 	p.mu.Lock()
 	if p.dead {
 		err := p.err
 		p.mu.Unlock()
 		return nil, err
 	}
+	ch := replyChans.Get().(chan callResult)
 	p.pending[id] = ch
 	p.mu.Unlock()
 
 	req.ID = id
 	p.wmu.Lock()
-	err := wire.SendRequest(p.c, req)
+	err := p.wc.SendRequest(req)
 	p.wmu.Unlock()
 	if err != nil {
 		p.fail(fmt.Errorf("txclient: send: %w", err))
 	}
 	r := <-ch
+	replyChans.Put(ch)
 	return r.resp, r.err
 }
 
 // readLoop demultiplexes replies until the stream dies.
 func (p *poolConn) readLoop() {
 	for {
-		resp, err := wire.RecvResponse(p.c)
-		if err != nil {
+		// A reply is handed to the caller that waits for it, so it owns
+		// its frame's body.
+		resp := new(wire.Response)
+		if err := p.wc.RecvResponseOwned(resp); err != nil {
 			p.fail(fmt.Errorf("txclient: connection lost: %w", err))
 			return
 		}

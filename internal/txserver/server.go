@@ -192,6 +192,9 @@ type serverTx struct {
 	mu      sync.Mutex
 	ranges  []txRange
 	done    bool
+	// ranges0 is where ranges starts out, so a transaction of a few
+	// ranges allocates no list.
+	ranges0 [4]txRange
 }
 
 // Server serves the transaction API on top of an engine.
@@ -219,6 +222,12 @@ type Server struct {
 	gate convoy
 	// serial is the SerialCommit gate: one commit at a time.
 	serial sync.Mutex
+
+	// imageMu orders OpTxRead's copy of a database image against the
+	// writes transactions make to it. Transactions write disjoint bytes
+	// — the conflict table sees to that — so they share the lock; a
+	// read copies bytes no claim covers, so it alone excludes them.
+	imageMu sync.RWMutex
 
 	m Metrics
 }
@@ -316,7 +325,7 @@ func (s *Server) Serve(l net.Listener) error {
 			s.m.ConnsRejected.Inc()
 			s.flight.Record(flight.ConnReject, "txserver", "connection limit reached", uint64(s.maxConns))
 			_ = nc.SetWriteDeadline(time.Now().Add(s.writeTimeout))
-			_ = wire.SendResponse(nc, &wire.Response{
+			_ = wire.NewConn(nc).SendResponse(&wire.Response{
 				Status: wire.StatusError, Code: wire.TxBusy,
 				Err: "txserver: connection limit reached",
 			})
@@ -331,8 +340,11 @@ func (s *Server) Serve(l net.Listener) error {
 
 // srvConn is one client connection's state.
 type srvConn struct {
-	s        *Server
-	c        net.Conn
+	s *Server
+	c net.Conn
+	// wc frames c: the read loop receives on it while the write loop
+	// sends.
+	wc       *wire.Conn
 	out      chan *wire.Response
 	inFlight atomic.Int64
 	handlers sync.WaitGroup
@@ -348,7 +360,7 @@ func (s *Server) ServeConn(nc net.Conn) {
 
 func (s *Server) serveConn(nc net.Conn) {
 	defer s.conns.Add(-1)
-	c := &srvConn{s: s, c: nc, out: make(chan *wire.Response, 256)}
+	c := &srvConn{s: s, c: nc, wc: wire.NewConn(nc), out: make(chan *wire.Response, 256)}
 	var writer sync.WaitGroup
 	writer.Add(1)
 	go func() {
@@ -367,12 +379,14 @@ func (s *Server) serveConn(nc net.Conn) {
 }
 
 // readLoop decodes frames and dispatches handlers until the stream
-// ends or a frame fails to decode.
+// ends or a frame fails to decode. A request is handed to a goroutine
+// that outlives this iteration — with pipelining, many are live at once
+// — so each owns its frame's body; nothing here is reused.
 func (c *srvConn) readLoop() {
 	s := c.s
 	for {
-		req, err := wire.RecvRequest(c.c)
-		if err != nil {
+		req := new(wire.Request)
+		if err := c.wc.RecvRequestOwned(req); err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
 				return
 			}
@@ -427,7 +441,7 @@ func (c *srvConn) writeLoop() {
 			continue
 		}
 		_ = c.c.SetWriteDeadline(time.Now().Add(c.s.writeTimeout))
-		if err := wire.SendResponse(c.c, resp); err != nil {
+		if err := c.wc.SendResponse(resp); err != nil {
 			dead = true
 			c.c.Close() // unblock the read loop too
 		}
@@ -450,7 +464,7 @@ func (s *Server) releaseConn(c *srvConn) {
 		st.mu.Lock()
 		if !st.done {
 			st.done = true
-			_ = st.tx.Abort()
+			_ = s.abort(st)
 			s.liveTxs.Add(-1)
 			s.m.TxsAborted.Inc()
 		}
@@ -545,6 +559,7 @@ func (s *Server) handleBegin(c *srvConn, req *wire.Request) *wire.Response {
 		return engineFail(req, err)
 	}
 	st := &serverTx{tx: tx, owner: c, traceID: req.TraceID}
+	st.ranges = st.ranges0[:0]
 	if st.traceID == 0 {
 		if tt, ok := tx.(interface{ TraceID() uint64 }); ok {
 			st.traceID = tt.TraceID()
@@ -650,6 +665,25 @@ func (s *Server) handleCommit(c *srvConn, req *wire.Request) *wire.Response {
 	// Apply the client's final bytes, each write validated against the
 	// transaction's declared ranges — the server never lets one client
 	// scribble outside what the conflict table granted it.
+	if resp := s.applyBatch(st, req); resp != nil {
+		return resp
+	}
+	sp := s.tracer.LinkedSpanFrom(trace.LayerServer, "serve_commit", st.traceID, req.TraceSpan)
+	err := s.commit(st.tx.Commit)
+	sp.EndN(uint64(len(req.Batch)))
+	s.dropTx(st)
+	if err != nil {
+		return engineFail(req, err)
+	}
+	s.m.TxsCommitted.Inc()
+	return &wire.Response{Status: wire.StatusOK, ID: req.ID}
+}
+
+// applyBatch copies a commit's final bytes into the databases; a nil
+// response means every entry landed.
+func (s *Server) applyBatch(st *serverTx, req *wire.Request) *wire.Response {
+	s.imageMu.RLock()
+	defer s.imageMu.RUnlock()
 	for _, e := range req.Batch {
 		if !st.covers(e.Seg, e.Offset, uint64(len(e.Data))) {
 			return fail(req, wire.TxBadRequest,
@@ -662,15 +696,15 @@ func (s *Server) handleCommit(c *srvConn, req *wire.Request) *wire.Response {
 		}
 		copy(db.db.Bytes()[e.Offset:], e.Data)
 	}
-	sp := s.tracer.LinkedSpanFrom(trace.LayerServer, "serve_commit", st.traceID, req.TraceSpan)
-	err := s.commit(st.tx.Commit)
-	sp.EndN(uint64(len(req.Batch)))
-	s.dropTx(st)
-	if err != nil {
-		return engineFail(req, err)
-	}
-	s.m.TxsCommitted.Inc()
-	return &wire.Response{Status: wire.StatusOK, ID: req.ID}
+	return nil
+}
+
+// abort rolls st's engine transaction back, which restores the
+// before-images of its ranges in place.
+func (s *Server) abort(st *serverTx) error {
+	s.imageMu.RLock()
+	defer s.imageMu.RUnlock()
+	return st.tx.Abort()
 }
 
 // covers reports whether [off, off+n) of db lies inside one declared
@@ -707,7 +741,7 @@ func (s *Server) handleAbort(c *srvConn, req *wire.Request) *wire.Response {
 		return fail(req, wire.TxUnknownTx, "txserver: transaction %d already finished", req.Tx)
 	}
 	sp := s.tracer.LinkedSpanFrom(trace.LayerServer, "serve_abort", st.traceID, req.TraceSpan)
-	err := st.tx.Abort()
+	err := s.abort(st)
 	sp.End()
 	s.dropTx(st)
 	if err != nil {
@@ -768,7 +802,9 @@ func (s *Server) handleRead(req *wire.Request) *wire.Response {
 			req.Offset, req.Length, len(b))
 	}
 	out := make([]byte, req.Length)
+	s.imageMu.Lock()
 	copy(out, b[req.Offset:end])
+	s.imageMu.Unlock()
 	return &wire.Response{Status: wire.StatusOK, ID: req.ID, Data: out}
 }
 
@@ -789,7 +825,9 @@ func (s *Server) handleLoad(req *wire.Request) *wire.Response {
 		return fail(req, wire.TxBadRequest, "txserver: load [%d,+%d) outside database of %d bytes",
 			req.Offset, len(req.Data), len(b))
 	}
+	s.imageMu.Lock() // loads hold no claims: nothing keeps two apart
 	copy(b[req.Offset:end], req.Data)
+	s.imageMu.Unlock()
 	return &wire.Response{Status: wire.StatusOK, ID: req.ID}
 }
 

@@ -1,6 +1,7 @@
 package txserver
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -31,11 +32,21 @@ type fakeEngine struct {
 type fakeDB struct {
 	name string
 	buf  []byte
+	// gate, when non-nil, holds every Bytes call until it is closed;
+	// waiting counts the calls held.
+	gate    chan struct{}
+	waiting atomic.Int64
 }
 
-func (d *fakeDB) Name() string  { return d.name }
-func (d *fakeDB) Size() uint64  { return uint64(len(d.buf)) }
-func (d *fakeDB) Bytes() []byte { return d.buf }
+func (d *fakeDB) Name() string { return d.name }
+func (d *fakeDB) Size() uint64 { return uint64(len(d.buf)) }
+func (d *fakeDB) Bytes() []byte {
+	if d.gate != nil {
+		d.waiting.Add(1)
+		<-d.gate
+	}
+	return d.buf
+}
 
 type fakeTx struct {
 	e    *fakeEngine
@@ -141,8 +152,13 @@ func (e *fakeEngine) Close() error { return nil }
 // rawConn drives a server connection frame by frame, so tests exercise
 // the protocol below the client library.
 type rawConn struct {
-	t *testing.T
-	c net.Conn
+	t  *testing.T
+	c  net.Conn
+	wc *wire.Conn
+}
+
+func newRaw(t *testing.T, c net.Conn) *rawConn {
+	return &rawConn{t: t, c: c, wc: wire.NewConn(c)}
 }
 
 func dialRaw(t *testing.T, s *Server) *rawConn {
@@ -150,20 +166,20 @@ func dialRaw(t *testing.T, s *Server) *rawConn {
 	a, b := net.Pipe()
 	go s.ServeConn(b)
 	t.Cleanup(func() { a.Close() })
-	return &rawConn{t: t, c: a}
+	return newRaw(t, a)
 }
 
 func (r *rawConn) send(req *wire.Request) {
 	r.t.Helper()
-	if err := wire.SendRequest(r.c, req); err != nil {
+	if err := r.wc.SendRequest(req); err != nil {
 		r.t.Fatalf("send %s: %v", req.Op, err)
 	}
 }
 
 func (r *rawConn) recv() *wire.Response {
 	r.t.Helper()
-	resp, err := wire.RecvResponse(r.c)
-	if err != nil {
+	resp := new(wire.Response)
+	if err := r.wc.RecvResponseOwned(resp); err != nil {
 		r.t.Fatalf("recv: %v", err)
 	}
 	return resp
@@ -203,7 +219,7 @@ func TestMalformedFrameClosesConnection(t *testing.T) {
 	c := dialRaw(t, s)
 
 	// A frame that decodes as garbage: too short for any request.
-	if err := wire.WriteFrame(c.c, []byte{0xFF, 0x01}); err != nil {
+	if _, err := c.c.Write([]byte{0, 0, 0, 2, 0xFF, 0x01}); err != nil {
 		t.Fatalf("write garbage frame: %v", err)
 	}
 	resp := c.recv()
@@ -211,7 +227,7 @@ func TestMalformedFrameClosesConnection(t *testing.T) {
 		t.Fatalf("garbage frame answered %v/%v, want ERROR/BAD-REQUEST", resp.Status, resp.Code)
 	}
 	// The server hangs up after reporting.
-	if _, err := wire.RecvResponse(c.c); !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrClosedPipe) {
+	if err := c.wc.RecvResponse(new(wire.Response)); !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrClosedPipe) {
 		t.Fatalf("connection still open after malformed frame: %v", err)
 	}
 	if got := s.Metrics().Malformed.Load(); got != 1 {
@@ -366,7 +382,7 @@ func TestConnAdmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c1.Close()
-	r1 := &rawConn{t: t, c: c1}
+	r1 := newRaw(t, c1)
 	r1.mustOK(&wire.Request{Op: wire.OpTxStats, ID: 1})
 
 	c2, err := net.Dial("tcp", l.Addr().String())
@@ -374,10 +390,7 @@ func TestConnAdmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	resp, err := wire.RecvResponse(c2)
-	if err != nil {
-		t.Fatalf("rejected connection: %v", err)
-	}
+	resp := newRaw(t, c2).recv()
 	if resp.Code != wire.TxBusy {
 		t.Fatalf("over-limit accept answered %s, want BUSY", resp.Code)
 	}
@@ -419,7 +432,7 @@ func TestDisconnectAbortsOrphans(t *testing.T) {
 	a, b := net.Pipe()
 	done := make(chan struct{})
 	go func() { s.ServeConn(b); close(done) }()
-	r := &rawConn{t: t, c: a}
+	r := newRaw(t, a)
 	r.mustOK(&wire.Request{Op: wire.OpTxBegin, ID: 1})
 	if s.LiveTxs() != 1 {
 		t.Fatalf("live txs = %d, want 1", s.LiveTxs())
@@ -482,4 +495,61 @@ func TestCrashWipesHandles(t *testing.T) {
 	}
 	c.mustOK(&wire.Request{Op: wire.OpTxRecover, ID: 8})
 	c.mustOK(&wire.Request{Op: wire.OpTxOpenDB, ID: 9, Name: "wipe"})
+}
+
+// TestPipelinedRequestsOwnTheirFrames: 64 requests stream down one
+// connection — several frames per read — while every handler is held
+// before it first looks at its payload. Each handler must then still
+// find its own request: a frame body or Request reused by the read loop
+// under a live handler shows as wrong bytes here, and as a data race
+// under -race.
+func TestPipelinedRequestsOwnTheirFrames(t *testing.T) {
+	const n, width = DefaultMaxInFlight, 48
+	eng := newFakeEngine()
+	s := New(eng)
+	c := dialRaw(t, s)
+	cr := c.mustOK(&wire.Request{Op: wire.OpTxCreateDB, ID: 1, Name: "db", Size: n * width})
+	db := eng.dbs["db"]
+	db.gate = make(chan struct{})
+
+	payload := func(i int) []byte {
+		p := make([]byte, width)
+		for j := range p {
+			p[j] = byte(i*31 + j)
+		}
+		return p
+	}
+	sent := make(chan struct{})
+	go func() {
+		defer close(sent)
+		// One write for all 64 frames, so the server's reads hold many.
+		var stream bytes.Buffer
+		frames := wire.NewConn(&stream)
+		for i := 0; i < n; i++ {
+			_ = frames.SendRequest(&wire.Request{
+				Op: wire.OpTxLoad, ID: uint64(100 + i), Seg: cr.Seg, Offset: uint64(i * width), Data: payload(i),
+			})
+		}
+		if _, err := c.c.Write(stream.Bytes()); err != nil {
+			t.Errorf("write pipeline: %v", err)
+		}
+	}()
+	for db.waiting.Load() < n {
+		runtime.Gosched()
+	}
+	<-sent
+	close(db.gate)
+	seen := make(map[uint64]bool)
+	for i := 0; i < n; i++ {
+		resp := c.recv()
+		if resp.Status != wire.StatusOK || resp.ID < 100 || resp.ID >= 100+n || seen[resp.ID] {
+			t.Fatalf("reply %d: id %d status %v (%s)", i, resp.ID, resp.Status, resp.Err)
+		}
+		seen[resp.ID] = true
+	}
+	for i := 0; i < n; i++ {
+		if got := db.buf[i*width : (i+1)*width]; !bytes.Equal(got, payload(i)) {
+			t.Fatalf("request %d landed as % x, want % x", i, got[:8], payload(i)[:8])
+		}
+	}
 }

@@ -2,12 +2,24 @@ package wire
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
+// flip inverts every byte of b.
+func flip(b []byte) {
+	for i := range b {
+		b[i] ^= 0xFF
+	}
+}
+
 // FuzzDecodeRequest exercises the request decoder with arbitrary bytes;
 // it must never panic and every successfully decoded request must
-// re-encode losslessly.
+// re-encode losslessly. The decoder works in place, so the fuzzer also
+// holds it to its aliasing contract: the result equals a deep copy
+// taken of it, whether decoded into a fresh or a reused Request, and
+// overwriting the body afterwards changes Data and Batch[i].Data — byte
+// for byte — and nothing else.
 func FuzzDecodeRequest(f *testing.F) {
 	seed, _ := EncodeRequest(&Request{Op: OpWrite, Seg: 3, Offset: 64, Data: []byte("abc")})
 	f.Add(seed)
@@ -38,6 +50,25 @@ func FuzzDecodeRequest(f *testing.F) {
 		if err != nil {
 			return
 		}
+		deep := cloneRequest(req)
+		reused := Request{Op: OpTxCommit, Name: "stale", Data: []byte("stale"), TraceID: 9,
+			Batch: make([]BatchEntry, 3, 8)}
+		if err := reused.decode(bytes.Clone(body)); err != nil || !sameRequest(&reused, &deep) {
+			t.Fatalf("decode into a reused request diverged (%v): %+v vs %+v", err, reused, deep)
+		}
+		flip(body)
+		flipped := cloneRequest(&deep)
+		flip(flipped.Data)
+		for _, e := range flipped.Batch {
+			flip(e.Data)
+		}
+		if !sameRequest(req, &flipped) {
+			t.Fatalf("overwriting the body changed more than the aliasing fields: %+v vs %+v", req, flipped)
+		}
+		flip(body)
+		if !sameRequest(req, &deep) {
+			t.Fatalf("in-place decode is not its deep copy: %+v vs %+v", req, deep)
+		}
 		out, err := EncodeRequest(req)
 		if err != nil {
 			// Decoded values can exceed encoder limits only via the
@@ -57,7 +88,7 @@ func FuzzDecodeRequest(f *testing.F) {
 	})
 }
 
-// FuzzDecodeResponse is the response-side twin.
+// FuzzDecodeResponse is the response-side twin; only Data aliases.
 func FuzzDecodeResponse(f *testing.F) {
 	seed, _ := EncodeResponse(&Response{Status: StatusOK, Segments: []SegmentInfo{{ID: 1, Size: 64, Name: "x"}}})
 	f.Add(seed)
@@ -73,6 +104,25 @@ func FuzzDecodeResponse(f *testing.F) {
 		resp, err := DecodeResponse(body)
 		if err != nil {
 			return
+		}
+		deep := *resp
+		deep.Data = bytes.Clone(resp.Data)
+		deep.Segments = append([]SegmentInfo(nil), resp.Segments...)
+		reused := Response{Status: StatusError, Err: "stale", Data: []byte("stale"),
+			Segments: []SegmentInfo{{Name: "stale"}}, Code: TxBusy}
+		if err := reused.decode(bytes.Clone(body)); err != nil || !reflect.DeepEqual(reused, deep) {
+			t.Fatalf("decode into a reused response diverged (%v): %+v vs %+v", err, reused, deep)
+		}
+		flip(body)
+		flipped := deep
+		flipped.Data = bytes.Clone(deep.Data)
+		flip(flipped.Data)
+		if !reflect.DeepEqual(*resp, flipped) {
+			t.Fatalf("overwriting the body changed more than Data: %+v vs %+v", *resp, flipped)
+		}
+		flip(body)
+		if !reflect.DeepEqual(*resp, deep) {
+			t.Fatalf("in-place decode is not its deep copy: %+v vs %+v", *resp, deep)
 		}
 		out, err := EncodeResponse(resp)
 		if err != nil {

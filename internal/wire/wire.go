@@ -10,15 +10,53 @@
 // message body. Request bodies start with a 1-byte opcode; response
 // bodies start with a 1-byte status. All multi-byte integers are
 // big-endian. Strings and byte blobs are 4-byte-length-prefixed.
+//
+// # What a frame costs
+//
+// Every socket in the program is framed by one Conn, and a frame is one
+// write and one read. Sending encodes the length prefix and the body
+// into the connection's buffer and hands both to a single Write; a
+// payload of 4 KiB or more is not copied into that buffer but rides as
+// its own element of one writev. Receiving asks the socket for as much
+// as the connection's receive buffer has room for, so the prefix and the
+// body that were written together arrive together in one read — and so
+// may the frames behind them, which stay in the buffer, with the
+// connection, until they are asked for. A frame that does not fit what
+// is buffered is read into its destination directly; only the part a
+// read had already brought in (at most the 4 KiB the buffer starts at)
+// is copied there first.
+//
+// # How long a received message is valid
+//
+// Decoding is in place: Request.Data, every Request.Batch[i].Data and
+// Response.Data alias the bytes they were decoded from; strings (Name,
+// Err, segment names) are copied out. So the lifetime of those three
+// fields is the lifetime of the body:
+//
+//   - Conn.RecvRequest and Conn.RecvResponse decode over the
+//     connection's receive buffer. The message is valid until the next
+//     Recv call on that Conn, and RecvRequest also reuses the Request's
+//     Batch slice. This is for loops that finish with one message before
+//     reading the next: the memory server's connection loop (Handle
+//     validates a whole batch, copies it into its segments and retains
+//     nothing) and the transport's acks.
+//   - Conn.RecvRequestOwned and Conn.RecvResponseOwned decode over one
+//     allocation made for the frame, which the message then owns. This
+//     is for messages that outlive the loop that read them: requests
+//     handed to txserver's handler goroutines, replies handed to
+//     txclient's callers, the bytes transport.Read returns.
+//   - DecodeRequest and DecodeResponse alias the body they are given;
+//     it is the caller's to keep unchanged for as long as the message
+//     is used.
+//
+// A sender's payloads are read until Send returns and never retained.
 package wire
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
-	"sync"
 )
 
 // Op identifies a request type.
@@ -362,6 +400,34 @@ func appendBytes(b, p []byte) []byte {
 	return append(b, p...)
 }
 
+// gatherMin is the payload size from which a Conn stops copying a
+// payload into its encode buffer and sends it as its own iovec: below
+// it the memcpy is cheaper than one more element in the writev.
+const gatherMin = 4 << 10
+
+// gather collects the payloads an encoder left out of its buffer. A nil
+// *gather collects nothing: every payload is copied, which is what the
+// flat-body encoders (EncodeRequest, EncodeResponse) want.
+type gather struct{ cuts []cut }
+
+// cut is one left-out payload: p belongs at offset at of the encoded
+// bytes.
+type cut struct {
+	at int
+	p  []byte
+}
+
+// appendPayload appends p's length prefix and then either p itself or,
+// when g collects and p is large, a cut in its place.
+func (g *gather) appendPayload(b, p []byte) []byte {
+	if g == nil || len(p) < gatherMin {
+		return appendBytes(b, p)
+	}
+	b = appendU32(b, uint32(len(p)))
+	g.cuts = append(g.cuts, cut{at: len(b), p: p})
+	return b
+}
+
 type reader struct {
 	b   []byte
 	err error
@@ -422,12 +488,17 @@ func (r *reader) bytes() []byte {
 
 // EncodeRequest serialises a request body (without the frame length).
 func EncodeRequest(req *Request) ([]byte, error) {
-	return appendRequest(make([]byte, 0, 32+len(req.Name)+len(req.Data)), req)
+	n := 69 + len(req.Name) + len(req.Data)
+	for i := range req.Batch {
+		n += 16 + len(req.Batch[i].Data)
+	}
+	return appendRequest(make([]byte, 0, n), req, nil)
 }
 
 // appendRequest serialises a request body onto b (which may carry
-// reusable capacity) and returns the extended slice.
-func appendRequest(b []byte, req *Request) ([]byte, error) {
+// reusable capacity) and returns the extended slice; payloads g
+// collects are left out of it.
+func appendRequest(b []byte, req *Request, g *gather) ([]byte, error) {
 	if len(req.Name) > MaxName {
 		return nil, ErrNameTooLong
 	}
@@ -440,12 +511,13 @@ func appendRequest(b []byte, req *Request) ([]byte, error) {
 	b = appendU32(b, req.Length)
 	b = appendU64(b, req.Size)
 	b = appendBytes(b, []byte(req.Name))
-	b = appendBytes(b, req.Data)
+	b = g.appendPayload(b, req.Data)
 	b = appendU32(b, uint32(len(req.Batch)))
-	for _, e := range req.Batch {
+	for i := range req.Batch {
+		e := &req.Batch[i]
 		b = appendU32(b, e.Seg)
 		b = appendU64(b, e.Offset)
-		b = appendBytes(b, e.Data)
+		b = g.appendPayload(b, e.Data)
 	}
 	b = appendU64(b, req.ID)
 	b = appendU64(b, req.Tx)
@@ -456,28 +528,48 @@ func appendRequest(b []byte, req *Request) ([]byte, error) {
 	return b, nil
 }
 
-// DecodeRequest parses a request body.
+// DecodeRequest parses a request body in place: the returned request's
+// Data and Batch[i].Data alias body (see the package doc).
 func DecodeRequest(body []byte) (*Request, error) {
-	r := &reader{b: body}
-	req := &Request{
+	// Kept small enough to inline, so a caller that does not retain the
+	// request keeps it on its stack.
+	req := new(Request)
+	if err := req.decode(body); err != nil {
+		return nil, err
+	}
+	return req, nil
+}
+
+// decode parses body into req in place, reusing req's Batch slice: Data
+// and every Batch[i].Data alias body, Name is copied. On error req holds
+// a partial decode.
+func (req *Request) decode(body []byte) error {
+	r := reader{b: body}
+	*req = Request{
 		Op:     Op(r.u8()),
 		Seg:    r.u32(),
 		Offset: r.u64(),
 		Length: r.u32(),
 		Size:   r.u64(),
+		Batch:  req.Batch[:0],
 	}
 	name := r.bytes()
-	data := r.bytes()
+	if data := r.bytes(); len(data) > 0 {
+		req.Data = data
+	}
 	nBatch := r.u32()
-	if r.err == nil && uint64(nBatch) > uint64(len(r.b)) {
-		// Each entry takes at least 16 bytes; a count beyond the
-		// remaining body is corrupt.
-		return nil, ErrTruncated
+	if r.err == nil && uint64(nBatch)*16 > uint64(len(r.b)) {
+		// Each entry takes at least 16 bytes; a count the remaining
+		// body cannot hold is corrupt (and must not size the slice).
+		return ErrTruncated
+	}
+	if r.err == nil && int(nBatch) > cap(req.Batch) {
+		req.Batch = make([]BatchEntry, 0, nBatch)
 	}
 	for i := uint32(0); i < nBatch && r.err == nil; i++ {
 		e := BatchEntry{Seg: r.u32(), Offset: r.u64()}
 		if d := r.bytes(); len(d) > 0 {
-			e.Data = append([]byte(nil), d...)
+			e.Data = d
 		}
 		req.Batch = append(req.Batch, e)
 	}
@@ -494,33 +586,35 @@ func DecodeRequest(body []byte) (*Request, error) {
 		}
 	}
 	if r.err != nil {
-		return nil, r.err
+		return r.err
 	}
 	if len(name) > MaxName {
-		return nil, ErrNameTooLong
+		return ErrNameTooLong
 	}
 	req.Name = string(name)
-	if len(data) > 0 {
-		req.Data = append([]byte(nil), data...)
-	}
-	return req, nil
+	return nil
 }
 
 // EncodeResponse serialises a response body (without the frame length).
 func EncodeResponse(resp *Response) ([]byte, error) {
-	return appendResponse(make([]byte, 0, 64+len(resp.Data)), resp)
+	n := 126 + len(resp.Data) + len(resp.Err)
+	for i := range resp.Segments {
+		n += 20 + len(resp.Segments[i].Name)
+	}
+	return appendResponse(make([]byte, 0, n), resp, nil)
 }
 
 // appendResponse serialises a response body onto b (which may carry
-// reusable capacity) and returns the extended slice.
-func appendResponse(b []byte, resp *Response) ([]byte, error) {
+// reusable capacity) and returns the extended slice; payloads g
+// collects are left out of it.
+func appendResponse(b []byte, resp *Response, g *gather) ([]byte, error) {
 	if len(resp.Data) > math.MaxUint32 {
 		return nil, ErrFrameTooLarge
 	}
 	b = append(b, byte(resp.Status))
 	b = appendU32(b, resp.Seg)
 	b = appendU64(b, resp.Size)
-	b = appendBytes(b, resp.Data)
+	b = g.appendPayload(b, resp.Data)
 	b = appendBytes(b, []byte(resp.Err))
 	b = appendU32(b, uint32(len(resp.Segments)))
 	for _, s := range resp.Segments {
@@ -549,21 +643,34 @@ func appendResponse(b []byte, resp *Response) ([]byte, error) {
 	return b, nil
 }
 
-// DecodeResponse parses a response body.
+// DecodeResponse parses a response body in place: the returned
+// response's Data aliases body (see the package doc).
 func DecodeResponse(body []byte) (*Response, error) {
-	r := &reader{b: body}
-	resp := &Response{
+	resp := new(Response) // inlined into the caller, like DecodeRequest
+	if err := resp.decode(body); err != nil {
+		return nil, err
+	}
+	return resp, nil
+}
+
+// decode parses body into resp in place: Data aliases body, Err and the
+// segment names are copied. On error resp holds a partial decode.
+func (resp *Response) decode(body []byte) error {
+	r := reader{b: body}
+	*resp = Response{
 		Status: Status(r.u8()),
 		Seg:    r.u32(),
 		Size:   r.u64(),
 	}
-	data := r.bytes()
+	if data := r.bytes(); len(data) > 0 {
+		resp.Data = data
+	}
 	errMsg := r.bytes()
 	nseg := r.u32()
 	if r.err == nil && uint64(nseg) > uint64(len(r.b)) {
 		// Each segment entry takes at least 16 bytes; a count larger
 		// than the remaining body is corrupt.
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	for i := uint32(0); i < nseg && r.err == nil; i++ {
 		s := SegmentInfo{ID: r.u32(), Size: r.u64()}
@@ -586,120 +693,10 @@ func DecodeResponse(body []byte) (*Response, error) {
 	resp.Tx = r.u64()
 	resp.Code = TxCode(r.u8())
 	if r.err != nil {
-		return nil, r.err
-	}
-	if len(data) > 0 {
-		resp.Data = append([]byte(nil), data...)
+		return r.err
 	}
 	resp.Err = string(errMsg)
-	return resp, nil
-}
-
-// WriteFrame writes one length-prefixed message body to w.
-func WriteFrame(w io.Writer, body []byte) error {
-	if len(body) > MaxFrame {
-		return ErrFrameTooLarge
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("wire: write frame header: %w", err)
-	}
-	if _, err := w.Write(body); err != nil {
-		return fmt.Errorf("wire: write frame body: %w", err)
-	}
 	return nil
-}
-
-// ReadFrame reads one length-prefixed message body from r.
-func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if errors.Is(err, io.EOF) {
-			return nil, io.EOF
-		}
-		return nil, fmt.Errorf("wire: read frame header: %w", err)
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrame {
-		return nil, ErrFrameTooLarge
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, fmt.Errorf("wire: read frame body: %w", err)
-	}
-	return body, nil
-}
-
-// encBufPool recycles encode buffers across SendRequest/SendResponse
-// calls so a steady stream of small frames (the commit path's writes
-// and their acks) allocates nothing. Buffers that grew past
-// maxPooledBuf — bulk rebuild copies, multi-megabyte reads — are
-// dropped instead of pinned in the pool.
-var encBufPool sync.Pool
-
-const maxPooledBuf = 1 << 20
-
-func getEncBuf() *[]byte {
-	bp, _ := encBufPool.Get().(*[]byte)
-	if bp == nil {
-		bp = new([]byte)
-	}
-	return bp
-}
-
-func putEncBuf(bp *[]byte) {
-	if cap(*bp) > maxPooledBuf {
-		return
-	}
-	*bp = (*bp)[:0]
-	encBufPool.Put(bp)
-}
-
-// SendRequest frames and writes a request.
-func SendRequest(w io.Writer, req *Request) error {
-	bp := getEncBuf()
-	body, err := appendRequest((*bp)[:0], req)
-	if err != nil {
-		putEncBuf(bp)
-		return err
-	}
-	*bp = body
-	err = WriteFrame(w, body)
-	putEncBuf(bp)
-	return err
-}
-
-// RecvRequest reads and parses one request.
-func RecvRequest(r io.Reader) (*Request, error) {
-	body, err := ReadFrame(r)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeRequest(body)
-}
-
-// SendResponse frames and writes a response.
-func SendResponse(w io.Writer, resp *Response) error {
-	bp := getEncBuf()
-	body, err := appendResponse((*bp)[:0], resp)
-	if err != nil {
-		putEncBuf(bp)
-		return err
-	}
-	*bp = body
-	err = WriteFrame(w, body)
-	putEncBuf(bp)
-	return err
-}
-
-// RecvResponse reads and parses one response.
-func RecvResponse(r io.Reader) (*Response, error) {
-	body, err := ReadFrame(r)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeResponse(body)
 }
 
 // TxStats carries transaction-server counters in an OpTxStats response

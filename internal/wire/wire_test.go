@@ -3,7 +3,6 @@ package wire
 import (
 	"bytes"
 	"errors"
-	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -187,76 +186,6 @@ func TestNameTooLong(t *testing.T) {
 	}
 }
 
-func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	bodies := [][]byte{{}, {1}, []byte("hello world"), bytes.Repeat([]byte{0xab}, 1<<16)}
-	for _, b := range bodies {
-		if err := WriteFrame(&buf, b); err != nil {
-			t.Fatalf("write: %v", err)
-		}
-	}
-	for i, want := range bodies {
-		got, err := ReadFrame(&buf)
-		if err != nil {
-			t.Fatalf("read %d: %v", i, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("frame %d mismatch: got %d bytes, want %d", i, len(got), len(want))
-		}
-	}
-	if _, err := ReadFrame(&buf); !errors.Is(err, io.EOF) {
-		t.Errorf("drained stream: got %v, want EOF", err)
-	}
-}
-
-func TestFrameTooLarge(t *testing.T) {
-	if err := WriteFrame(io.Discard, make([]byte, MaxFrame+1)); !errors.Is(err, ErrFrameTooLarge) {
-		t.Errorf("write oversized: got %v, want ErrFrameTooLarge", err)
-	}
-	hdr := []byte{0xff, 0xff, 0xff, 0xff}
-	if _, err := ReadFrame(bytes.NewReader(hdr)); !errors.Is(err, ErrFrameTooLarge) {
-		t.Errorf("read oversized: got %v, want ErrFrameTooLarge", err)
-	}
-}
-
-func TestReadFrameShortBody(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, []byte("abcdef")); err != nil {
-		t.Fatal(err)
-	}
-	short := buf.Bytes()[:buf.Len()-2]
-	if _, err := ReadFrame(bytes.NewReader(short)); err == nil {
-		t.Error("short body should fail")
-	}
-}
-
-func TestSendRecvRequestResponse(t *testing.T) {
-	var buf bytes.Buffer
-	req := Request{Op: OpWrite, Seg: 2, Offset: 64, Data: []byte("abc")}
-	if err := SendRequest(&buf, &req); err != nil {
-		t.Fatal(err)
-	}
-	gotReq, err := RecvRequest(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(*gotReq, req) {
-		t.Errorf("request mismatch: %+v vs %+v", *gotReq, req)
-	}
-
-	resp := Response{Status: StatusOK, Seg: 2}
-	if err := SendResponse(&buf, &resp); err != nil {
-		t.Fatal(err)
-	}
-	gotResp, err := RecvResponse(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(*gotResp, resp) {
-		t.Errorf("response mismatch: %+v vs %+v", *gotResp, resp)
-	}
-}
-
 func TestDecodeArbitraryBytesNeverPanics(t *testing.T) {
 	// Decoders face bytes from the network; arbitrary input must yield
 	// an error or a value, never a panic or out-of-range access.
@@ -278,17 +207,6 @@ func TestDecodeArbitraryBytesNeverPanics(t *testing.T) {
 	}
 	if _, err := DecodeResponse(evil); err == nil {
 		t.Error("all-0xFF response decoded")
-	}
-}
-
-func TestReadFrameArbitraryHeader(t *testing.T) {
-	f := func(hdr [4]byte, body []byte) bool {
-		stream := append(hdr[:], body...)
-		_, _ = ReadFrame(bytes.NewReader(stream))
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
 	}
 }
 
